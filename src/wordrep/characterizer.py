@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .errors import CapExceeded, DomainError
 from .graphs import Graph, induced_subgraph, is_connected
-from .modular import (
-    ModularPartition,
-    induced_block_graphs,
-    is_module,
-    maximal_modular_partition,
-)
+from .modular import ModularPartition, is_module, maximal_modular_partition
 from .orientations import (
     DEFAULT_ORACLE_EDGE_CAP,
+    Orientation,
     exists_semi_transitive_orientation,
     find_transitive_orientation,
 )
@@ -35,10 +32,9 @@ from .representation import (
     GENERAL,
     PERMUTATIONAL,
     Representation,
-    _padded_permutations,
-    prn,
+    compose,
+    prn_of_orientation,
     rep_number,
-    uniformize,
 )
 from .words import represents, uniformity
 
@@ -86,6 +82,20 @@ def _is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
 
 
+def _block_orientations(
+    partition: ModularPartition,
+) -> Iterator[tuple[frozenset[int], Orientation | None]]:
+    """Each block with a transitive orientation of the subgraph it induces,
+    or None when that subgraph is not a comparability graph.
+
+    Blocks are oriented lazily, in block order, so a caller that stops at
+    the first failure orients nothing past it.
+    """
+    for block in partition.blocks:
+        bg, _ = induced_subgraph(partition.base, block)
+        yield block, find_transitive_orientation(bg)
+
+
 def module_comparability_test(g: Graph) -> list[tuple[frozenset[int], bool]]:
     """For each block of the maximal modular partition, is its induced graph
     a comparability graph?
@@ -99,10 +109,7 @@ def module_comparability_test(g: Graph) -> list[tuple[frozenset[int], bool]]:
     partition = maximal_modular_partition(g)
     if all(len(b) == 1 for b in partition.blocks):
         raise DomainError("prime: no nontrivial modules in the maximal partition")
-    out = []
-    for block, bg in zip(partition.blocks, induced_block_graphs(partition)):
-        out.append((block, find_transitive_orientation(bg) is not None))
-    return out
+    return [(block, o is not None) for block, o in _block_orientations(partition)]
 
 
 def nonwr_screen(g: Graph) -> frozenset[int] | None:
@@ -117,10 +124,9 @@ def nonwr_screen(g: Graph) -> frozenset[int] | None:
     if g.n < 2:
         return None
     partition = maximal_modular_partition(g)
-    for block, bg in zip(partition.blocks, induced_block_graphs(partition)):
-        if len(block) >= 2 and find_transitive_orientation(bg) is None:
-            return block
-    return None
+    return next(
+        (block for block, o in _block_orientations(partition) if o is None), None
+    )
 
 
 def _complete_verdict(g: Graph, caps: Caps) -> Verdict:
@@ -137,9 +143,10 @@ def _complete_verdict(g: Graph, caps: Caps) -> Verdict:
 
 
 def _classify_prime(g: Graph, caps: Caps) -> Verdict:
-    if find_transitive_orientation(g) is not None:
+    o = find_transitive_orientation(g)
+    if o is not None:
         word_rep = rep_number(g, caps.word_cap)
-        perm_rep = prn(g, caps.word_cap)
+        perm_rep = prn_of_orientation(o, caps.word_cap)
         if word_rep is None or perm_rep is None:
             return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=g)
         return Verdict(
@@ -177,36 +184,6 @@ def _classify_prime(g: Graph, caps: Caps) -> Verdict:
     return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=g)
 
 
-def _compose(
-    partition: ModularPartition,
-    quotient_rep: Representation,
-    block_reps: list[Representation],
-    t: int,
-    permutational: bool,
-) -> Representation:
-    """Blow a quotient word up into a word for the base graph.
-
-    The i-th occurrence of quotient letter q becomes block q's i-th
-    permutation, relabeled onto the block's actual vertices.
-    """
-    if permutational:
-        outer_word = tuple(
-            c for p in _padded_permutations(quotient_rep, t) for c in p
-        )
-    else:
-        outer_word = uniformize(quotient_rep.word, partition.quotient, t)
-    perms = [_padded_permutations(rep, t) for rep in block_reps]
-    members = [sorted(block) for block in partition.blocks]
-    occurrences = [0] * partition.quotient.n
-    out: list[int] = []
-    for q in outer_word:
-        p = perms[q][occurrences[q]]
-        occurrences[q] += 1
-        out.extend(members[q][x] for x in p)
-    mode = PERMUTATIONAL if permutational else GENERAL
-    return Representation(tuple(out), t, mode, partition.base)
-
-
 def classify(g: Graph, caps: Caps = Caps()) -> Verdict:
     """Decide word-representability (and comparability) with a certificate.
 
@@ -224,10 +201,10 @@ def classify(g: Graph, caps: Caps = Caps()) -> Verdict:
         return _classify_prime(g, caps)
 
     block_reps: list[Representation] = []
-    for block, bg in zip(partition.blocks, induced_block_graphs(partition)):
-        if find_transitive_orientation(bg) is None:
+    for block, o in _block_orientations(partition):
+        if o is None:
             return Verdict(Status.NOT_WORD_REPRESENTABLE, caps, witness=block)
-        rep = prn(bg, caps.word_cap)
+        rep = prn_of_orientation(o, caps.word_cap)
         if rep is None:
             # comparability holds but the prn search is capped; report the
             # core quotient the structural walk reaches
@@ -251,21 +228,20 @@ def classify(g: Graph, caps: Caps = Caps()) -> Verdict:
 
     block_ks = tuple(rep.k for rep in block_reps)
     assert sub.r_number is not None and sub.certificate is not None
-    r_total = max((sub.r_number, *block_ks))
-    certificate = _compose(partition, sub.certificate, block_reps, r_total, False)
+    members = [sorted(block) for block in partition.blocks]
+    certificate = compose(sub.certificate, block_reps, members, g, GENERAL)
     if sub.status == Status.COMPARABILITY:
-        assert sub.prn_number is not None and sub.perm_certificate is not None
-        prn_total = max((sub.prn_number, *block_ks))
-        perm_certificate = _compose(
-            partition, sub.perm_certificate, block_reps, prn_total, True
+        assert sub.perm_certificate is not None
+        perm_certificate = compose(
+            sub.perm_certificate, block_reps, members, g, PERMUTATIONAL
         )
         return Verdict(
             Status.COMPARABILITY,
             caps,
             certificate=certificate,
             perm_certificate=perm_certificate,
-            r_number=r_total,
-            prn_number=prn_total,
+            r_number=certificate.k,
+            prn_number=perm_certificate.k,
             block_prns=block_ks,
             quotient_r=sub.r_number,
         )
@@ -273,7 +249,7 @@ def classify(g: Graph, caps: Caps = Caps()) -> Verdict:
         Status.WORD_REPRESENTABLE,
         caps,
         certificate=certificate,
-        r_number=r_total,
+        r_number=certificate.k,
         block_prns=block_ks,
         quotient_r=sub.r_number,
     )
@@ -289,10 +265,21 @@ def _reduction_target(g: Graph) -> Graph:
         partition = maximal_modular_partition(current)
         if all(len(b) == 1 for b in partition.blocks):
             return current
-        for bg in induced_block_graphs(partition):
-            if find_transitive_orientation(bg) is None:
-                return current
+        if any(o is None for _, o in _block_orientations(partition)):
+            return current
         current = partition.quotient
+
+
+def _replays(cert: Representation | None, g: Graph, claimed_k: int | None) -> bool:
+    """The word represents g, at the claimed multiplicity when one is claimed."""
+    if cert is None:
+        return False
+    try:
+        if not represents(cert.word, g):
+            return False
+    except ValueError:
+        return False
+    return claimed_k is None or uniformity(cert.word).uniform_k == claimed_k
 
 
 def verify(
@@ -307,28 +294,13 @@ def verify(
     Replays past the edge cap raise CapExceeded rather than guessing.
     """
     if verdict.status in (Status.WORD_REPRESENTABLE, Status.COMPARABILITY):
-        cert = verdict.certificate
-        if cert is None:
+        if not _replays(verdict.certificate, g, verdict.r_number):
             return False
-        try:
-            if not represents(cert.word, g):
-                return False
-        except ValueError:
-            return False
-        if verdict.r_number is not None:
-            if uniformity(cert.word).uniform_k != verdict.r_number:
-                return False
         if verdict.status == Status.COMPARABILITY:
             pc = verdict.perm_certificate
             if pc is None or pc.mode != PERMUTATIONAL:
                 return False
-            try:
-                if not represents(pc.word, g):
-                    return False
-            except ValueError:
-                return False
-            if verdict.prn_number is not None and pc.k != verdict.prn_number:
-                return False
+            return _replays(pc, g, verdict.prn_number)
         return True
     if verdict.status == Status.NOT_WORD_REPRESENTABLE:
         if verdict.witness is not None:

@@ -5,7 +5,9 @@ and caps the report is byte-stable; pass --timing to add a timing field.
 
 Exit codes: 0 decided positively (word-representable / comparability /
 computed), 1 negative (not word-representable / not a comparability graph /
-failed verification), 2 no information under the caps, 64 input error.
+failed verification), 2 no information under the caps, 64 input error
+(including a malformed report given to verify), 70 internal error (the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -30,17 +32,18 @@ from .representation import (
     Representation,
     lex_prn,
     lex_rep_number,
-    prn,
     prn_composed,
+    prn_of_orientation,
     rep_number,
     rep_number_composed,
 )
-from .words import represents, uniformity, word_from_text, word_to_text
+from .words import word_from_text, word_to_text
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_NO_INFORMATION = 2
 EXIT_INPUT_ERROR = 64
+EXIT_INTERNAL_ERROR = 70
 
 WORD_CAP_ENV = "WORDREP_WORD_CAP"
 ORACLE_CAP_ENV = "WORDREP_ORACLE_CAP"
@@ -164,10 +167,11 @@ def cmd_prn(args: argparse.Namespace) -> int:
         g, data = _connected_input(args.path)
     except (OSError, GraphFileError) as exc:
         return _fail(str(exc))
-    if find_transitive_orientation(g) is None:
+    o = find_transitive_orientation(g)
+    if o is None:
         status, rep, code = "not-comparability", None, EXIT_NEGATIVE
     else:
-        rep = prn(g, args.cap)
+        rep = prn_of_orientation(o, args.cap)
         if rep is None:
             status, code = "cap-exceeded", EXIT_NO_INFORMATION
         else:
@@ -257,14 +261,15 @@ def cmd_product(args: argparse.Namespace) -> int:
                 rep = lex_rep_number(g, h, caps.word_cap, caps.oracle_edge_cap)
             numbers["r"] = rep.k
             certificate = _cert_json(rep)
-            both_comparability = find_transitive_orientation(g) is not None
-            if both_comparability:
+            try:
                 if args.op == "substitute":
                     perm = prn_composed(g, args.at, h, caps.word_cap)
                 else:
                     perm = lex_prn(g, h, caps.word_cap)
                 numbers["prn"] = perm.k
                 perm_certificate = _cert_json(perm)
+            except DomainError:
+                pass  # h passed as a comparability graph above, so g is not one
         except DomainError as exc:
             report["numbers_error"] = str(exc)
         except CapExceeded as exc:
@@ -281,32 +286,50 @@ def cmd_product(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _replay_certificate(cert: dict | None, g: Graph, expect_k, permutational: bool) -> bool:
+def _certificate(cert, g: Graph) -> Representation | None:
+    """A report's certificate rebuilt as a Representation of g, or None if
+    it does not replay (the constructor re-checks the word)."""
     if cert is None:
-        return False
+        return None
     try:
-        word = word_from_text(cert["word"])
-        if not represents(word, g):
-            return False
-    except (KeyError, ValueError):
-        return False
-    if uniformity(word).uniform_k != cert.get("k"):
-        return False
-    if expect_k is not None and cert.get("k") != expect_k:
-        return False
-    if permutational:
-        if cert.get("mode") != PERMUTATIONAL:
-            return False
-        k = cert["k"]
-        if len(word) != k * g.n:
-            return False
-        for i in range(k):
-            if len(set(word[i * g.n : (i + 1) * g.n])) != g.n:
-                return False
-    return True
+        return Representation(word_from_text(cert["word"]), cert["k"], cert["mode"], g)
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
-def _replay_report(report: dict, g: Graph, data: bytes, replay_cap: int) -> bool:
+def _cert_replays(cert, g: Graph, claimed_k, permutational: bool) -> bool:
+    rep = _certificate(cert, g)
+    if rep is None or (permutational and rep.mode != PERMUTATIONAL):
+        return False
+    return claimed_k is None or rep.k == claimed_k
+
+
+def _check_verdict(report: dict, g: Graph) -> Verdict:
+    """The Verdict a check report was printed from.
+
+    Raises AttributeError, KeyError, TypeError or ValueError when the
+    report is malformed.
+    """
+    numbers = report.get("numbers") or {}
+    witness = report.get("witness")
+    q = report.get("quotient")
+    return Verdict(
+        Status(report["status"]),
+        Caps(**report["caps"]),
+        witness=frozenset(witness) if witness is not None else None,
+        certificate=_certificate(report.get("certificate"), g),
+        perm_certificate=_certificate(report.get("perm_certificate"), g),
+        r_number=numbers.get("r"),
+        prn_number=numbers.get("prn"),
+        quotient_ref=make_graph(q["n"], [tuple(e) for e in q["edges"]])
+        if q is not None
+        else None,
+    )
+
+
+def _replay_report(
+    report: dict, verdict: Verdict | None, g: Graph, data: bytes, replay_cap: int
+) -> bool:
     command = report.get("command")
     if command in ("check", "repnum", "prn", "decompose"):
         digest = hashlib.sha256(data).hexdigest()
@@ -316,45 +339,17 @@ def _replay_report(report: dict, g: Graph, data: bytes, replay_cap: int) -> bool
     numbers = report.get("numbers") or {}
 
     if command == "check":
-        caps = Caps(**report["caps"])
-        if status in ("word-representable", "comparability"):
-            if not _replay_certificate(
-                report.get("certificate"), g, numbers.get("r"), False
-            ):
-                return False
-            if status == "comparability":
-                return _replay_certificate(
-                    report.get("perm_certificate"), g, numbers.get("prn"), True
-                )
-            return True
-        if status == "not-word-representable":
-            witness = report.get("witness")
-            verdict = Verdict(
-                Status.NOT_WORD_REPRESENTABLE,
-                caps,
-                witness=frozenset(witness) if witness is not None else None,
-            )
-            return verify_verdict(verdict, g, replay_cap)
-        if status == "reduced-to-quotient":
-            q = report.get("quotient")
-            if q is None:
-                return False
-            quotient_ref = make_graph(q["n"], [tuple(e) for e in q["edges"]])
-            verdict = Verdict(
-                Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=quotient_ref
-            )
-            return verify_verdict(verdict, g, replay_cap)
-        return False
+        return verify_verdict(verdict, g, replay_cap)
     if command == "repnum":
         if status == "cap-exceeded":
             return report.get("certificate") is None
-        return _replay_certificate(report.get("certificate"), g, numbers.get("r"), False)
+        return _cert_replays(report.get("certificate"), g, numbers.get("r"), False)
     if command == "prn":
         if status == "not-comparability":
             return find_transitive_orientation(g) is None
         if status == "cap-exceeded":
             return find_transitive_orientation(g) is not None
-        return _replay_certificate(report.get("certificate"), g, numbers.get("prn"), True)
+        return _cert_replays(report.get("certificate"), g, numbers.get("prn"), True)
     if command == "decompose":
         if g.n == 1:
             return report.get("blocks") == [[0]]
@@ -373,20 +368,14 @@ def _replay_report(report: dict, g: Graph, data: bytes, replay_cap: int) -> bool
             return False
         if "numbers_error" in report:
             return True
-        if report.get("certificate") is not None:
-            if not _replay_certificate(
-                report["certificate"], g, (report.get("numbers") or {}).get("r"), False
-            ):
-                return False
-        if report.get("perm_certificate") is not None:
-            if not _replay_certificate(
-                report["perm_certificate"],
-                g,
-                (report.get("numbers") or {}).get("prn"),
-                True,
-            ):
-                return False
-        return True
+        return all(
+            report.get(key) is None
+            or _cert_replays(report[key], g, numbers.get(number), permutational)
+            for key, number, permutational in (
+                ("certificate", "r", False),
+                ("perm_certificate", "prn", True),
+            )
+        )
     return False
 
 
@@ -398,7 +387,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, GraphFileError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     try:
-        valid = _replay_report(report, g, data, args.replay_cap)
+        verdict = _check_verdict(report, g) if report.get("command") == "check" else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return _fail(f"malformed report: {exc!r}")
+    try:
+        valid = _replay_report(report, verdict, g, data, args.replay_cap)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_INFORMATION
@@ -476,7 +469,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception:
+        import traceback  # imported here: it costs every cold start several ms
+
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -23,13 +23,14 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapExceeded, DomainError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, make_graph
 from .modular import lex_product, substitute
 from .orientations import (
     DEFAULT_ORACLE_EDGE_CAP,
+    Orientation,
     exists_semi_transitive_orientation,
     find_transitive_orientation,
     minimum_realizer,
@@ -174,13 +175,15 @@ def prn(g: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
     extensions, concatenated, are the certificate.
     """
     o = find_transitive_orientation(g)
-    if o is None:
-        return None
+    return None if o is None else prn_of_orientation(o, cap)
+
+
+def prn_of_orientation(o: Orientation, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
+    """``prn`` for a caller that already holds a transitive orientation of the graph."""
     realizer = minimum_realizer(poset_of(o), cap)
     if realizer is None:
         return None
-    word = concat_permutations(realizer)
-    return Representation(word, len(realizer), PERMUTATIONAL, g)
+    return Representation(concat_permutations(realizer), len(realizer), PERMUTATIONAL, o.base)
 
 
 def uniformize(word: Word, g: Graph, t: int) -> Word:
@@ -205,10 +208,34 @@ def uniformize(word: Word, g: Graph, t: int) -> Word:
     return w
 
 
-def _padded_permutations(rep: Representation, t: int) -> list[Word]:
-    """The representation's permutations, repeated at the tail up to t blocks."""
-    perms = rep.permutations()
-    return perms + [perms[-1]] * (t - len(perms))
+def compose(
+    outer: Representation,
+    blocks: Sequence[Representation],
+    labels: Sequence[Sequence[int]],
+    target: Graph,
+    mode: str,
+) -> Representation:
+    """Blow a word for a quotient up into a word for ``target``.
+
+    ``blocks[q]`` is a permutational representation of the module that
+    replaces outer letter q, and ``labels[q]`` maps its vertices into
+    ``target``. The outer word is extended to t = max multiplicity, then the
+    i-th occurrence of letter q becomes block q's i-th permutation (its last
+    one once they run out), relabeled. Substitution, the lex product and
+    ``classify`` all build their certificates here.
+    """
+    t = max(outer.k, *(rep.k for rep in blocks))
+    perms = [rep.permutations() for rep in blocks]
+    occurrences = [0] * outer.target.n
+    out: list[int] = []
+    for q in uniformize(outer.word, outer.target, t):
+        out.extend(labels[q][x] for x in perms[q][min(occurrences[q], blocks[q].k - 1)])
+        occurrences[q] += 1
+    return Representation(tuple(out), t, mode, target)
+
+
+# the block that stands for a vertex left in place by a substitution
+_POINT = Representation((0,), 1, PERMUTATIONAL, make_graph(1, []))
 
 
 @dataclass(frozen=True)
@@ -223,9 +250,8 @@ class SubstitutionPlan:
 def substitute_representation(plan: SubstitutionPlan) -> Representation:
     """Build a representation of substitute(outer, pivot, inner) from the parts.
 
-    Both sides are padded to t = max of the two multiplicities, then the
-    i-th occurrence of the pivot letter is replaced by the inner side's i-th
-    permutation, relabeled into the substituted graph. If the outer word is
+    The pivot letter is blown up by the inner side's permutations and every
+    other letter stands for itself (see ``compose``). If the outer word is
     permutational the result is permutational.
     """
     outer, inner = plan.outer, plan.inner
@@ -234,34 +260,64 @@ def substitute_representation(plan: SubstitutionPlan) -> Representation:
     if outer.k is None:
         raise ValueError("the outer word must be uniform")
     g = outer.target
-    if not 0 <= plan.pivot < g.n:
-        raise ValueError(f"pivot {plan.pivot} not in 0..{g.n - 1}")
-    t = max(outer.k, inner.k)
-    inner_perms = _padded_permutations(inner, t)
-    if outer.mode == PERMUTATIONAL:
-        outer_word: Word = tuple(
-            c for p in _padded_permutations(outer, t) for c in p
-        )
-    else:
-        outer_word = uniformize(outer.word, g, t)
     result, g_map, m_map = substitute(g, plan.pivot, inner.target)
-    out: list[int] = []
-    seen_pivot = 0
-    for c in outer_word:
-        if c == plan.pivot:
-            out.extend(m_map[x] for x in inner_perms[seen_pivot])
-            seen_pivot += 1
-        else:
-            out.append(g_map[c])
-    return Representation(tuple(out), t, outer.mode, result)
+    blocks = [inner if c == plan.pivot else _POINT for c in range(g.n)]
+    labels = [
+        [m_map[x] for x in range(inner.target.n)] if c == plan.pivot else [g_map[c]]
+        for c in range(g.n)
+    ]
+    return compose(outer, blocks, labels, result, outer.mode)
 
 
-def _is_word_representable(g: Graph, edge_cap: int) -> bool:
+def _lex_representation(g_rep: Representation, h_rep: Representation) -> Representation:
+    """Every letter of g's word blown up by h's permutations, in g's mode."""
+    g, h = g_rep.target, h_rep.target
+    product, label = lex_product(g, h)
+    labels = [[label[(c, x)] for x in range(h.n)] for c in range(g.n)]
+    return compose(g_rep, [h_rep] * g.n, labels, product, g_rep.mode)
+
+
+def _word_factors(
+    g: Graph, h: Graph, cap: int, oracle_edge_cap: int, names: tuple[str, str, str]
+) -> tuple[Representation, Representation]:
+    """A minimal uniform word for the outer graph g and a minimal
+    permutational one for h; ``names`` reads (outer, inner, composed graph)
+    in the DomainError texts."""
+    outer_name, inner_name, result_name = names
+    o = find_transitive_orientation(h)
+    if o is None:
+        raise DomainError(
+            f"{inner_name} admits no transitive orientation, so the "
+            f"{result_name} is not word-representable"
+        )
     # comparability implies word-representable, and the orientation search
     # for a transitive orientation is much cheaper than full enumeration
-    if find_transitive_orientation(g) is not None:
-        return True
-    return exists_semi_transitive_orientation(g, edge_cap)
+    if find_transitive_orientation(g) is None and not exists_semi_transitive_orientation(
+        g, oracle_edge_cap
+    ):
+        raise DomainError(f"{outer_name} is not word-representable")
+    g_rep = rep_number(g, cap)
+    h_rep = prn_of_orientation(o, cap)
+    if g_rep is None or h_rep is None:
+        raise CapExceeded(f"representation search capped at k={cap}")
+    return g_rep, h_rep
+
+
+def _perm_factors(
+    g: Graph, h: Graph, cap: int, names: tuple[str, str]
+) -> tuple[Representation, Representation]:
+    """Minimal permutational representations of g and h; ``names`` reads
+    (outer, inner graph) in the DomainError texts."""
+    reps = []
+    for graph, name in zip((g, h), names):
+        o = find_transitive_orientation(graph)
+        if o is None:
+            raise DomainError(f"{name} is not a comparability graph")
+        reps.append(prn_of_orientation(o, cap))
+    g_rep, h_rep = reps
+    if g_rep is None or h_rep is None:
+        raise CapExceeded(f"realizer search capped at k={cap}")
+    return g_rep, h_rep
 
 
 def rep_number_composed(
@@ -277,37 +333,18 @@ def rep_number_composed(
     be a comparability graph; those are exactly the conditions under which
     the substituted graph is word-representable at all.
     """
-    if find_transitive_orientation(inner) is None:
-        raise DomainError(
-            "inner graph admits no transitive orientation, so the substituted "
-            "graph is not word-representable"
-        )
-    if not _is_word_representable(g, oracle_edge_cap):
-        raise DomainError("outer graph is not word-representable")
-    outer_rep = rep_number(g, cap)
-    inner_rep = prn(inner, cap)
-    if outer_rep is None or inner_rep is None:
-        raise CapExceeded(f"representation search capped at k={cap}")
-    rep = substitute_representation(SubstitutionPlan(outer_rep, pivot, inner_rep))
-    assert rep.k == max(outer_rep.k, inner_rep.k)
-    return rep
+    outer_rep, inner_rep = _word_factors(
+        g, inner, cap, oracle_edge_cap, ("outer graph", "inner graph", "substituted graph")
+    )
+    return substitute_representation(SubstitutionPlan(outer_rep, pivot, inner_rep))
 
 
 def prn_composed(
     g: Graph, pivot: int, inner: Graph, cap: int = DEFAULT_WORD_CAP
 ) -> Representation:
     """Permutational representation of the substitution at max of the two prns."""
-    outer_rep = prn(g, cap)
-    if outer_rep is None and find_transitive_orientation(g) is None:
-        raise DomainError("outer graph is not a comparability graph")
-    inner_rep = prn(inner, cap)
-    if inner_rep is None and find_transitive_orientation(inner) is None:
-        raise DomainError("inner graph is not a comparability graph")
-    if outer_rep is None or inner_rep is None:
-        raise CapExceeded(f"realizer search capped at k={cap}")
-    rep = substitute_representation(SubstitutionPlan(outer_rep, pivot, inner_rep))
-    assert rep.k == max(outer_rep.k, inner_rep.k)
-    return rep
+    outer_rep, inner_rep = _perm_factors(g, inner, cap, ("outer graph", "inner graph"))
+    return substitute_representation(SubstitutionPlan(outer_rep, pivot, inner_rep))
 
 
 def lex_rep_number(
@@ -322,49 +359,11 @@ def lex_rep_number(
     graph; the word substitutes h's permutations for every letter of a
     uniform word for g.
     """
-    if find_transitive_orientation(h) is None:
-        raise DomainError(
-            "second factor admits no transitive orientation, so the product "
-            "is not word-representable"
-        )
-    if not _is_word_representable(g, oracle_edge_cap):
-        raise DomainError("first factor is not word-representable")
-    g_rep = rep_number(g, cap)
-    h_rep = prn(h, cap)
-    if g_rep is None or h_rep is None:
-        raise CapExceeded(f"representation search capped at k={cap}")
-    t = max(g_rep.k, h_rep.k)
-    outer_word = uniformize(g_rep.word, g, t)
-    h_perms = _padded_permutations(h_rep, t)
-    product, label = lex_product(g, h)
-    occurrences = [0] * g.n
-    out: list[int] = []
-    for c in outer_word:
-        p = h_perms[occurrences[c]]
-        occurrences[c] += 1
-        out.extend(label[(c, x)] for x in p)
-    rep = Representation(tuple(out), t, GENERAL, product)
-    assert rep.k == max(g_rep.k, h_rep.k)
-    return rep
+    return _lex_representation(
+        *_word_factors(g, h, cap, oracle_edge_cap, ("first factor", "second factor", "product"))
+    )
 
 
 def lex_prn(g: Graph, h: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation:
     """Permutational representation of the lex product at max of the two prns."""
-    g_rep = prn(g, cap)
-    if g_rep is None and find_transitive_orientation(g) is None:
-        raise DomainError("first factor is not a comparability graph")
-    h_rep = prn(h, cap)
-    if h_rep is None and find_transitive_orientation(h) is None:
-        raise DomainError("second factor is not a comparability graph")
-    if g_rep is None or h_rep is None:
-        raise CapExceeded(f"realizer search capped at k={cap}")
-    t = max(g_rep.k, h_rep.k)
-    g_perms = _padded_permutations(g_rep, t)
-    h_perms = _padded_permutations(h_rep, t)
-    product, label = lex_product(g, h)
-    chunks: list[int] = []
-    for i in range(t):
-        chunks.extend(label[(c, x)] for c in g_perms[i] for x in h_perms[i])
-    rep = Representation(tuple(chunks), t, PERMUTATIONAL, product)
-    assert rep.k == max(g_rep.k, h_rep.k)
-    return rep
+    return _lex_representation(*_perm_factors(g, h, cap, ("first factor", "second factor")))

@@ -305,6 +305,33 @@ def test_verify_rejects_wrong_input_digest(capsys, tmp_path):
     assert json.loads(vout)["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda report: [report],  # a list, not an object
+        lambda report: {k: v for k, v in report.items() if k != "caps"},
+        lambda report: {**report, "caps": {**report["caps"], "bogus_cap": 1}},
+    ],
+    ids=["list", "missing-caps", "unknown-cap-key"],
+)
+def test_verify_malformed_report_exits_64(capsys, tmp_path, mangle):
+    _, out, _ = run(capsys, "check", FIXTURES / "w6.graph")
+    report_path = write_report(tmp_path, json.dumps(mangle(json.loads(out))))
+    vcode, vout, verr = run(capsys, "verify", FIXTURES / "w6.graph", report_path)
+    assert vcode == 64 and vout == ""
+    assert verr.startswith("error: malformed") and verr.count("\n") == 1
+
+
+def test_internal_error_exits_70_with_traceback(capsys, monkeypatch):
+    def broken(g, caps):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("wordrep.cli.classify", broken)
+    code, out, err = run(capsys, "check", FIXTURES / "w6.graph")
+    assert code == 70 and out == ""
+    assert "Traceback" in err and "RecursionError" in err
+
+
 def test_verify_product_report_against_emitted_file(capsys, tmp_path):
     out_path = tmp_path / "w6.graph"
     code, out, _ = run(
