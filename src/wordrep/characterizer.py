@@ -1,15 +1,18 @@
-"""The decision pipeline: decompose, test blocks for comparability, recurse on the quotient.
+"""The decision pipeline: one modular partition, comparability of its blocks,
+and a quotient decided directly.
 
-A connected graph is word-representable iff every block of a modular
-partition induces a comparability graph and the quotient is
+A connected graph is word-representable iff every block of its maximal
+modular partition induces a comparability graph and the quotient is
 word-representable; when it is, the representation number is the max of the
 quotient's representation number and the blocks' permutation-representation
 numbers. A block that fails comparability is a checkable witness of
-non-word-representability. Prime graphs (and complete graphs, whose
-canonical partition is all singletons) are decided directly: transitive
-orientation first, then bounded word search, then the semi-transitive
-oracle; when caps prevent a decision the verdict honestly reduces to the
-undecided quotient.
+non-word-representability. By Gallai's theorem the quotient of a connected
+graph is complete or prime, so it is decided directly and only the top
+level of the modular decomposition tree is ever computed. Complete graphs
+get the identity word. Prime graphs get transitive orientation first, then
+the semi-transitive oracle when there is none, then bounded word search;
+when caps prevent a decision the verdict honestly reduces to the undecided
+quotient.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ class Verdict:
     multiplicity ``r_number``; comparability outcomes additionally carry a
     permutational certificate at ``prn_number``. For
     not-word-representable outcomes ``witness`` is a nontrivial module
-    inducing a non-comparability subgraph when one exists (prime graphs
-    refuted by the orientation oracle have no such module and carry None).
+    inducing a non-comparability subgraph when one exists (graphs refuted by
+    the orientation oracle, on themselves or on their prime quotient, have
+    no such module and carry None).
     """
 
     status: Status
@@ -82,6 +86,10 @@ def _is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
 
 
+def _is_prime(partition: ModularPartition) -> bool:
+    return all(len(b) == 1 for b in partition.blocks)
+
+
 def _block_orientations(
     partition: ModularPartition,
 ) -> Iterator[tuple[frozenset[int], Orientation | None]]:
@@ -96,6 +104,11 @@ def _block_orientations(
         yield block, find_transitive_orientation(bg)
 
 
+def _first_failing_block(partition: ModularPartition) -> frozenset[int] | None:
+    """The first block that does not induce a comparability graph, if any."""
+    return next((b for b, o in _block_orientations(partition) if o is None), None)
+
+
 def module_comparability_test(g: Graph) -> list[tuple[frozenset[int], bool]]:
     """For each block of the maximal modular partition, is its induced graph
     a comparability graph?
@@ -107,7 +120,7 @@ def module_comparability_test(g: Graph) -> list[tuple[frozenset[int], bool]]:
     if not is_connected(g):
         raise ValueError("module comparability test needs a connected graph")
     partition = maximal_modular_partition(g)
-    if all(len(b) == 1 for b in partition.blocks):
+    if _is_prime(partition):
         raise DomainError("prime: no nontrivial modules in the maximal partition")
     return [(block, o is not None) for block, o in _block_orientations(partition)]
 
@@ -123,10 +136,7 @@ def nonwr_screen(g: Graph) -> frozenset[int] | None:
         raise ValueError("the screen needs a connected graph")
     if g.n < 2:
         return None
-    partition = maximal_modular_partition(g)
-    return next(
-        (block for block, o in _block_orientations(partition) if o is None), None
-    )
+    return _first_failing_block(maximal_modular_partition(g))
 
 
 def _complete_verdict(g: Graph, caps: Caps) -> Verdict:
@@ -144,51 +154,37 @@ def _complete_verdict(g: Graph, caps: Caps) -> Verdict:
 
 def _classify_prime(g: Graph, caps: Caps) -> Verdict:
     o = find_transitive_orientation(g)
-    if o is not None:
-        word_rep = rep_number(g, caps.word_cap)
-        perm_rep = prn_of_orientation(o, caps.word_cap)
-        if word_rep is None or perm_rep is None:
-            return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=g)
-        return Verdict(
-            Status.COMPARABILITY,
-            caps,
-            certificate=word_rep,
-            perm_certificate=perm_rep,
-            r_number=word_rep.k,
-            prn_number=perm_rep.k,
-        )
     # not comparability: settle the status with the orientation oracle before
     # paying for word search (refuting k-uniform words level by level is far
     # slower than refuting orientations), then search only to certify
-    if g.m <= caps.oracle_edge_cap:
-        if not exists_semi_transitive_orientation(g, caps.oracle_edge_cap):
-            return Verdict(Status.NOT_WORD_REPRESENTABLE, caps, witness=None)
-        word_rep = rep_number(g, caps.word_cap)
-        if word_rep is None:
-            # word-representable, but no word within the cap to certify it
-            return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=g)
-        return Verdict(
-            Status.WORD_REPRESENTABLE,
-            caps,
-            certificate=word_rep,
-            r_number=word_rep.k,
-        )
+    if (
+        o is None
+        and g.m <= caps.oracle_edge_cap
+        and not exists_semi_transitive_orientation(g, caps.oracle_edge_cap)
+    ):
+        return Verdict(Status.NOT_WORD_REPRESENTABLE, caps, witness=None)
     word_rep = rep_number(g, caps.word_cap)
-    if word_rep is not None:
-        return Verdict(
-            Status.WORD_REPRESENTABLE,
-            caps,
-            certificate=word_rep,
-            r_number=word_rep.k,
-        )
-    return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=g)
+    perm_rep = prn_of_orientation(o, caps.word_cap) if o is not None else None
+    if word_rep is None or (o is not None and perm_rep is None):
+        # no word (or, for a comparability graph, no permutations) within
+        # the word cap
+        return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=g)
+    return Verdict(
+        Status.WORD_REPRESENTABLE if o is None else Status.COMPARABILITY,
+        caps,
+        certificate=word_rep,
+        perm_certificate=perm_rep,
+        r_number=word_rep.k,
+        prn_number=perm_rep.k if perm_rep is not None else None,
+    )
 
 
 def classify(g: Graph, caps: Caps = Caps()) -> Verdict:
     """Decide word-representability (and comparability) with a certificate.
 
-    Recurses on the maximal modular partition; see the module docstring for
-    the decision structure.
+    One maximal modular partition drives every decision: its blocks are
+    oriented first, and its quotient, complete or prime by Gallai's theorem,
+    is decided directly; see the module docstring.
     """
     if g.n == 0:
         raise ValueError("classify needs a nonempty graph")
@@ -197,77 +193,60 @@ def classify(g: Graph, caps: Caps = Caps()) -> Verdict:
     if _is_complete(g):
         return _complete_verdict(g, caps)
     partition = maximal_modular_partition(g)
-    if all(len(b) == 1 for b in partition.blocks):
+    if _is_prime(partition):
         return _classify_prime(g, caps)
 
-    block_reps: list[Representation] = []
+    orientations: list[Orientation] = []
     for block, o in _block_orientations(partition):
         if o is None:
             return Verdict(Status.NOT_WORD_REPRESENTABLE, caps, witness=block)
+        orientations.append(o)
+    q = partition.quotient
+    block_reps: list[Representation] = []
+    for o in orientations:
         rep = prn_of_orientation(o, caps.word_cap)
         if rep is None:
-            # comparability holds but the prn search is capped; report the
-            # core quotient the structural walk reaches
-            return Verdict(
-                Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=_reduction_target(g)
-            )
+            # comparability holds but the prn search is capped; the quotient
+            # is what is left undecided
+            return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=q)
         block_reps.append(rep)
 
-    sub = classify(partition.quotient, caps)
-    if sub.status == Status.NOT_WORD_REPRESENTABLE:
-        lifted = None
-        if sub.witness is not None:
-            lifted = frozenset(
-                v for i in sub.witness for v in partition.blocks[i]
-            )
-        return Verdict(Status.NOT_WORD_REPRESENTABLE, caps, witness=lifted)
-    if sub.status == Status.REDUCED_TO_QUOTIENT:
-        return Verdict(
-            Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=sub.quotient_ref
-        )
+    sub = _complete_verdict(q, caps) if _is_complete(q) else _classify_prime(q, caps)
+    if sub.status in (Status.NOT_WORD_REPRESENTABLE, Status.REDUCED_TO_QUOTIENT):
+        # a prime quotient has no module witness, and a reduced one names q
+        return sub
 
-    block_ks = tuple(rep.k for rep in block_reps)
-    assert sub.r_number is not None and sub.certificate is not None
+    # the whole graph is a comparability graph iff its quotient is, since
+    # every block already is one
     members = [sorted(block) for block in partition.blocks]
     certificate = compose(sub.certificate, block_reps, members, g, GENERAL)
-    if sub.status == Status.COMPARABILITY:
-        assert sub.perm_certificate is not None
-        perm_certificate = compose(
-            sub.perm_certificate, block_reps, members, g, PERMUTATIONAL
-        )
-        return Verdict(
-            Status.COMPARABILITY,
-            caps,
-            certificate=certificate,
-            perm_certificate=perm_certificate,
-            r_number=certificate.k,
-            prn_number=perm_certificate.k,
-            block_prns=block_ks,
-            quotient_r=sub.r_number,
-        )
+    perm_certificate = (
+        compose(sub.perm_certificate, block_reps, members, g, PERMUTATIONAL)
+        if sub.perm_certificate is not None
+        else None
+    )
     return Verdict(
-        Status.WORD_REPRESENTABLE,
+        sub.status,
         caps,
         certificate=certificate,
+        perm_certificate=perm_certificate,
         r_number=certificate.k,
-        block_prns=block_ks,
+        prn_number=perm_certificate.k if perm_certificate is not None else None,
+        block_prns=tuple(rep.k for rep in block_reps),
         quotient_r=sub.r_number,
     )
 
 
 def _reduction_target(g: Graph) -> Graph:
-    """Follow the cap-free part of the pipeline down to the quotient that
-    would have to be decided directly."""
-    current = g
-    while True:
-        if _is_complete(current):
-            return current
-        partition = maximal_modular_partition(current)
-        if all(len(b) == 1 for b in partition.blocks):
-            return current
-        if any(o is None for _, o in _block_orientations(partition)):
-            return current
-        current = partition.quotient
+    """The graph a reduced verdict for g must name: g itself when g is
+    complete or a block of its maximal modular partition is not a
+    comparability graph, else the quotient (g itself when g is prime)."""
+    if _is_complete(g):
+        return g
+    partition = maximal_modular_partition(g)
+    if _is_prime(partition) or _first_failing_block(partition) is None:
+        return partition.quotient
+    return g
 
 
 def _replays(cert: Representation | None, g: Graph, claimed_k: int | None) -> bool:
@@ -323,7 +302,5 @@ def verify(
             )
         return not exists_semi_transitive_orientation(g, replay_edge_cap)
     if verdict.status == Status.REDUCED_TO_QUOTIENT:
-        if verdict.quotient_ref is None:
-            return False
         return _reduction_target(g) == verdict.quotient_ref
     return False

@@ -304,14 +304,28 @@ def _cert_replays(cert, g: Graph, claimed_k, permutational: bool) -> bool:
     return claimed_k is None or rep.k == claimed_k
 
 
-def _check_verdict(report: dict, g: Graph) -> Verdict:
+def _field(report: dict, key: str, kind: type, default=None):
+    """report[key], or ``default`` when it is absent or null.
+
+    Raises TypeError when the field holds another type.
+    """
+    value = report.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _check_verdict(report: dict, numbers: dict, g: Graph) -> Verdict:
     """The Verdict a check report was printed from.
 
     Raises AttributeError, KeyError, TypeError or ValueError when the
     report is malformed.
     """
-    numbers = report.get("numbers") or {}
-    witness = report.get("witness")
+    witness = _field(report, "witness", list)
+    if witness is not None and not all(isinstance(v, int) for v in witness):
+        raise TypeError("'witness' must list vertex numbers")
     q = report.get("quotient")
     return Verdict(
         Status(report["status"]),
@@ -328,15 +342,13 @@ def _check_verdict(report: dict, g: Graph) -> Verdict:
 
 
 def _replay_report(
-    report: dict, verdict: Verdict | None, g: Graph, data: bytes, replay_cap: int
+    report: dict, command, digest, numbers: dict, graph_file: str,
+    verdict: Verdict | None, g: Graph, data: bytes, replay_cap: int,
 ) -> bool:
-    command = report.get("command")
     if command in ("check", "repnum", "prn", "decompose"):
-        digest = hashlib.sha256(data).hexdigest()
-        if report.get("input", {}).get("sha256") != digest:
+        if digest != hashlib.sha256(data).hexdigest():
             return False
     status = report.get("status")
-    numbers = report.get("numbers") or {}
 
     if command == "check":
         return verify_verdict(verdict, g, replay_cap)
@@ -361,8 +373,8 @@ def _replay_report(
         )
     if command == "product":
         try:
-            emitted = parse_graph_text(report["graph_file"])
-        except (KeyError, GraphFileError):
+            emitted = parse_graph_text(graph_file)
+        except GraphFileError:
             return False
         if emitted != g:
             return False
@@ -387,18 +399,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, GraphFileError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     try:
-        verdict = _check_verdict(report, g) if report.get("command") == "check" else None
+        command = report.get("command")
+        digest = _field(report, "input", dict, {}).get("sha256")
+        numbers = _field(report, "numbers", dict, {})
+        graph_file = _field(report, "graph_file", str, "")
+        verdict = _check_verdict(report, numbers, g) if command == "check" else None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"malformed report: {exc!r}")
     try:
-        valid = _replay_report(report, verdict, g, data, args.replay_cap)
+        valid = _replay_report(
+            report, command, digest, numbers, graph_file, verdict, g, data,
+            args.replay_cap,
+        )
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_INFORMATION
     _print_report(
         {
             "command": "verify",
-            "report_command": report.get("command"),
+            "report_command": command,
             "input": _input_json(args.path, data),
             "valid": valid,
         }

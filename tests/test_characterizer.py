@@ -18,6 +18,7 @@ from wordrep import (
     module_comparability_test,
     nonwr_screen,
     rep_number,
+    substitute,
     verify,
 )
 from wordrep.modular import induced_block_graphs
@@ -276,3 +277,59 @@ def test_verify_oracle_replay_for_prime_refutations():
     assert verdict.status == Status.NOT_WORD_REPRESENTABLE
     assert verdict.witness is None
     assert verify(verdict, g)
+
+
+def p3_join_c5():
+    # P3 on 0-2 joined to C5 on 3-7: blocks {0, 2}, {1} and the C5 rim
+    edges = [(0, 1), (1, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
+    edges += [(a, b) for a in range(3) for b in range(3, 8)]
+    return make_graph(8, edges)
+
+
+def test_classify_finds_witness_behind_a_capped_block():
+    # prn of the {0, 2} block is 2, over the word cap; the C5 block after it
+    # still decides the answer
+    g = p3_join_c5()
+    verdict = classify(g, Caps(1, 24))
+    assert verdict.status == Status.NOT_WORD_REPRESENTABLE
+    assert verdict.witness == frozenset(range(3, 8))
+    assert verify(verdict, g)
+
+
+def test_screen_block_is_the_classify_witness_at_any_caps():
+    for g in atlas_connected(6, min_n=2) + (p3_join_c5(),):
+        block = nonwr_screen(g)
+        if block is None:
+            continue
+        for caps in (Caps(), Caps(1, 24)):
+            verdict = classify(g, caps)
+            assert verdict.status == Status.NOT_WORD_REPRESENTABLE
+            assert verdict.witness == block
+
+
+@pytest.mark.parametrize(
+    "g, caps",
+    [
+        (wheel(6), Caps()),
+        (substitute(cycle(5), 0, complete(2))[0], Caps(1, 1)),  # reduced
+        (p3_join_c5(), Caps()),
+    ],
+    ids=["w6", "c5-blown-reduced", "p3-join-c5"],
+)
+def test_one_partition_per_classify_and_reduced_verify(monkeypatch, g, caps):
+    import wordrep.characterizer as characterizer
+
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return maximal_modular_partition(graph)
+
+    monkeypatch.setattr(characterizer, "maximal_modular_partition", counted)
+    verdict = classify(g, caps)
+    assert calls == [g]
+    calls.clear()
+    assert verify(verdict, g)
+    # only a reduced verdict replays the partition
+    reduced = verdict.status == Status.REDUCED_TO_QUOTIENT
+    assert calls == ([g] if reduced else [])

@@ -305,19 +305,35 @@ def test_verify_rejects_wrong_input_digest(capsys, tmp_path):
     assert json.loads(vout)["valid"] is False
 
 
+CHECK_W6 = ("check", FIXTURES / "w6.graph")
+
+
 @pytest.mark.parametrize(
-    "mangle",
+    "argv, mangle",
     [
-        lambda report: [report],  # a list, not an object
-        lambda report: {k: v for k, v in report.items() if k != "caps"},
-        lambda report: {**report, "caps": {**report["caps"], "bogus_cap": 1}},
+        (CHECK_W6, lambda report: [report]),  # a list, not an object
+        (CHECK_W6, lambda report: {k: v for k, v in report.items() if k != "caps"}),
+        (CHECK_W6, lambda report: {**report, "caps": {**report["caps"], "bogus_cap": 1}}),
+        (CHECK_W6, lambda report: {**report, "input": "x"}),
+        (CHECK_W6, lambda report: {**report, "input": []}),
+        (CHECK_W6, lambda report: {**report, "witness": ["a", "b"]}),
+        (("repnum", FIXTURES / "c6.graph"), lambda report: {**report, "numbers": [1]}),
+        (
+            ("product", FIXTURES / "k2.graph", FIXTURES / "c6.graph",
+             "--op", "substitute", "--at", "0"),
+            lambda report: {**report, "graph_file": 5},
+        ),
     ],
-    ids=["list", "missing-caps", "unknown-cap-key"],
+    ids=[
+        "list", "missing-caps", "unknown-cap-key", "check-input-string",
+        "check-input-list", "check-witness-strings", "repnum-numbers-list",
+        "product-graph-file-int",
+    ],
 )
-def test_verify_malformed_report_exits_64(capsys, tmp_path, mangle):
-    _, out, _ = run(capsys, "check", FIXTURES / "w6.graph")
+def test_verify_malformed_report_exits_64(capsys, tmp_path, argv, mangle):
+    _, out, _ = run(capsys, *argv)
     report_path = write_report(tmp_path, json.dumps(mangle(json.loads(out))))
-    vcode, vout, verr = run(capsys, "verify", FIXTURES / "w6.graph", report_path)
+    vcode, vout, verr = run(capsys, "verify", argv[1], report_path)
     assert vcode == 64 and vout == ""
     assert verr.startswith("error: malformed") and verr.count("\n") == 1
 

@@ -277,3 +277,12 @@ def test_star_blocks_are_hub_and_leaves():
     assert [sorted(b) for b in p.blocks] == [[0], [1, 2, 3]]
     leaves_graph = induced_block_graphs(p)[1]
     assert leaves_graph.n == 3 and leaves_graph.m == 0
+
+
+def test_quotient_is_complete_or_prime():
+    # Gallai: the one fact that lets classify decide the quotient directly
+    for g in atlas_connected(7, min_n=2):
+        q = maximal_modular_partition(g).quotient
+        assert q.m == q.n * (q.n - 1) // 2 or all(
+            len(b) == 1 for b in maximal_modular_partition(q).blocks
+        )
