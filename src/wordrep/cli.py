@@ -293,7 +293,7 @@ def _certificate(cert, g: Graph) -> Representation | None:
         return None
     try:
         return Representation(word_from_text(cert["word"]), cert["k"], cert["mode"], g)
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         return None
 
 

@@ -13,11 +13,17 @@ unfinishable:
 
 All three cuts reject only unfinishable prefixes, so the search remains
 exhaustive; the test suite checks it against an unpruned enumeration on
-small graphs. ``prn`` goes through the induced poset: a smallest realizer
-by linear extensions, concatenated, is a minimal permutation representation.
-Every returned representation re-verifies against its target on
-construction, so a bug in a construction cannot silently produce a wrong
-certificate.
+small graphs. One more cut uses symmetry: if no word starts with letter 0,
+the search stops there instead of trying the other first letters. That is
+exact because rotating a uniform word keeps every pair's alternation, so
+every k-uniform representing word has a rotation that starts with 0; and
+words that start with 0 sort first, so the lexicographic order of the words
+found is unchanged.
+
+``prn`` goes through the induced poset: a smallest realizer by linear
+extensions, concatenated, is a minimal permutation representation. Every
+returned representation re-verifies against its target on construction, so
+a bug in a construction cannot silently produce a wrong certificate.
 """
 
 from __future__ import annotations
@@ -97,13 +103,18 @@ def representing_words(g: Graph, k: int) -> Iterator[Word]:
     violated = [0] * n  # symmetric: non-adjacent pairs that already collided
     word: list[int] = []
     total = n * k
+    found = False
 
     def dfs(pos: int) -> Iterator[Word]:
+        nonlocal found
         if pos == total:
             if all(violated[c] == nonadj[c] for c in range(n)):
+                found = True
                 yield tuple(word)
             return
         for c in range(n):
+            if not pos and c and not found:
+                return  # rotation cut: no word starts with 0, so none exists
             rc = remaining[c] - 1
             if rc < 0:
                 continue

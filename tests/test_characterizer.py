@@ -12,7 +12,6 @@ from wordrep import (
     exists_semi_transitive_orientation,
     find_transitive_orientation,
     induced_subgraph,
-    lex_product,
     make_graph,
     maximal_modular_partition,
     module_comparability_test,
@@ -127,16 +126,16 @@ def test_classify_certificate_k_matches_r_number():
                 assert verdict.perm_certificate.k == verdict.prn_number
 
 
-def test_classify_lifts_quotient_witness():
-    # blocks comparability, quotient W5: blow W5 up by doubling one rim vertex
+def test_classify_doubled_w5_rim_is_its_own_witness():
+    # W5 with rim vertex 3 doubled: the hub is a co-component, so the
+    # quotient is K2 and the witness is the whole rim block {1..6}
     w5 = wheel(5)
-    blown = lex_product(w5, make_graph(1, []))[0]
-    from wordrep import substitute
-
     blown, _, _ = substitute(w5, 3, make_graph(2, []))
     verdict = classify(blown)
     assert verdict.status == Status.NOT_WORD_REPRESENTABLE
     assert verdict.witness is not None
+    assert verdict.witness == frozenset(range(1, 7))
+    assert maximal_modular_partition(blown).quotient == complete(2)
     assert verify(verdict, blown)
 
 

@@ -297,6 +297,17 @@ def test_verify_rejects_tampered_word(capsys, tmp_path):
     assert json.loads(vout)["valid"] is False
 
 
+@pytest.mark.parametrize("command", ["repnum", "prn"])
+def test_verify_rejects_non_string_word(capsys, tmp_path, command):
+    _, out, _ = run(capsys, command, FIXTURES / "c6.graph")
+    report = json.loads(out)
+    report["certificate"]["word"] = 5
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", FIXTURES / "c6.graph", report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
 def test_verify_rejects_wrong_input_digest(capsys, tmp_path):
     code, out, _ = run(capsys, "repnum", FIXTURES / "c6.graph")
     report_path = write_report(tmp_path, out)

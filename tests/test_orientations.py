@@ -110,6 +110,23 @@ def test_oracle_matches_raw_enumeration_small():
         assert exists_semi_transitive_orientation(g) == brute_exists_semi_transitive(g)
 
 
+def test_oracle_matches_raw_enumeration_with_refutations():
+    # 6 vertices is the first size with a non-representable graph (W5), so
+    # unlike the test above this exercises refutation
+    graphs = [wheel(5)] + [g for g in atlas_connected(6, min_n=6) if g.m <= 9]
+    for g in graphs:
+        assert exists_semi_transitive_orientation(g) == brute_exists_semi_transitive(g)
+
+
+def test_oracle_refutes_exactly_the_26_atlas_graphs():
+    # Kitaev & Lozin, Words and Graphs: of the connected graphs on at most 7
+    # vertices, 1 on 6 vertices and 25 on 7 are not word-representable
+    refuted = [
+        g.n for g in atlas_connected(7, min_n=2) if not exists_semi_transitive_orientation(g)
+    ]
+    assert (refuted.count(6), refuted.count(7), len(refuted)) == (1, 25, 26)
+
+
 def test_oracle_refuses_past_edge_cap():
     with pytest.raises(CapExceeded):
         exists_semi_transitive_orientation(complete(8), max_edges=24)

@@ -100,6 +100,30 @@ def test_certificate_is_lexicographically_smallest():
         assert rep.word == brute_representing_words(g, rep.k)[0]
 
 
+def test_certificate_rotations_represent_and_k_ignores_labels():
+    # the search only tries first letters after 0 when some word starts
+    # with 0, which is sound because rotating a uniform representing word
+    # keeps it representing; relabelling moves which vertex is letter 0
+    rng = random.Random(4)
+    unrepresented = []
+    for g in atlas_connected(6, min_n=2):
+        rep = rep_number(g)
+        if rep is None:
+            unrepresented.append(g)
+            continue
+        w = rep.word
+        for i in range(len(w)):
+            rotated = w[i:] + w[:i]
+            assert represents(rotated, g)
+            assert uniformity(rotated).uniform_k == rep.k
+        for _ in range(3):
+            label = list(range(g.n))
+            rng.shuffle(label)
+            h = make_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+            assert rep_number(h).k == rep.k
+    assert [(g.n, g.m) for g in unrepresented] == [(6, 10)]  # W5 alone
+
+
 def test_word_search_and_oracle_agree_up_to_six_vertices():
     # two independent decision routes: k-uniform word search vs orientation
     # enumeration; on <= 6 vertices every representable graph has a word
