@@ -249,9 +249,14 @@ def _reduction_target(g: Graph) -> Graph:
     return g
 
 
-def _replays(cert: Representation | None, g: Graph, claimed_k: int | None) -> bool:
-    """The word represents g, at the claimed multiplicity when one is claimed."""
-    if cert is None:
+def certificate_replays(
+    cert: Representation | None, g: Graph, claimed_k: int | None,
+    permutational: bool = False,
+) -> bool:
+    """The certificate's word represents g, at the claimed multiplicity when
+    one is claimed, and the certificate is permutational when that is
+    required."""
+    if cert is None or (permutational and cert.mode != PERMUTATIONAL):
         return False
     try:
         if not represents(cert.word, g):
@@ -273,14 +278,12 @@ def verify(
     Replays past the edge cap raise CapExceeded rather than guessing.
     """
     if verdict.status in (Status.WORD_REPRESENTABLE, Status.COMPARABILITY):
-        if not _replays(verdict.certificate, g, verdict.r_number):
-            return False
-        if verdict.status == Status.COMPARABILITY:
-            pc = verdict.perm_certificate
-            if pc is None or pc.mode != PERMUTATIONAL:
-                return False
-            return _replays(pc, g, verdict.prn_number)
-        return True
+        return certificate_replays(verdict.certificate, g, verdict.r_number) and (
+            verdict.status != Status.COMPARABILITY
+            or certificate_replays(
+                verdict.perm_certificate, g, verdict.prn_number, permutational=True
+            )
+        )
     if verdict.status == Status.NOT_WORD_REPRESENTABLE:
         if verdict.witness is not None:
             w = verdict.witness

@@ -5,8 +5,10 @@ and caps the report is byte-stable; pass --timing to add a timing field.
 
 Exit codes: 0 decided positively (word-representable / comparability /
 computed), 1 negative (not word-representable / not a comparability graph /
-failed verification), 2 no information under the caps, 64 input error
-(including a malformed report given to verify), 70 internal error (the
+failed verification), 2 no information under the caps (including a verify
+replay past --replay-cap), 64 input error (a missing or malformed graph
+file or report, a graph file that is not ASCII, a report that is not UTF-8,
+an empty or disconnected graph, a bad pivot), 70 internal error (the
 traceback goes to stderr).
 """
 
@@ -19,16 +21,15 @@ import os
 import sys
 import time
 
-from .characterizer import Caps, Status, Verdict, classify
+from .characterizer import Caps, Status, Verdict, certificate_replays, classify
 from .characterizer import verify as verify_verdict
 from .errors import CapExceeded, DomainError
 from .graphs import Graph, is_connected, make_graph
-from .io import GraphFileError, format_graph_text, parse_graph_text
+from .io import GraphFileError, format_graph_text, parse_graph_text, write_graph_file
 from .modular import lex_product, maximal_modular_partition, substitute
 from .orientations import DEFAULT_ORACLE_EDGE_CAP, find_transitive_orientation
 from .representation import (
     DEFAULT_WORD_CAP,
-    PERMUTATIONAL,
     Representation,
     lex_prn,
     lex_rep_number,
@@ -60,17 +61,25 @@ def _env_default(name: str, fallback: int) -> int:
         return fallback
 
 
-def _load_graph(path: str) -> tuple[Graph, bytes]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    g = parse_graph_text(data.decode("ascii"))
+class InputError(Exception):
+    """Bad input (a graph file, an option, a report); main prints the message
+    and exits 64."""
+
+
+def _load_graph(path: str, connected: bool = True) -> tuple[Graph, dict]:
+    """The nonempty (and, if asked, connected) graph in the file at path, with
+    the {"path", "sha256"} echo a report carries for it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        g = parse_graph_text(data.decode("ascii"))
+    except (OSError, UnicodeDecodeError, GraphFileError) as exc:
+        raise InputError(str(exc)) from None
     if g.n == 0:
-        raise GraphFileError("graph has no vertices")
-    return g, data
-
-
-def _input_json(path: str, data: bytes) -> dict:
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        raise InputError("graph has no vertices")
+    if connected and not is_connected(g):
+        raise InputError("graph is not connected")
+    return g, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _graph_json(g: Graph) -> dict:
@@ -83,37 +92,29 @@ def _cert_json(rep: Representation | None) -> dict | None:
     return {"word": word_to_text(rep.word), "k": rep.k, "mode": rep.mode}
 
 
-def _print_report(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
 def _caps_json(caps: Caps) -> dict:
     return {"word_cap": caps.word_cap, "oracle_edge_cap": caps.oracle_edge_cap}
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
+def _decomposition_json(g: Graph) -> dict:
+    """The blocks, block map and quotient of g's maximal modular partition."""
+    if g.n == 1:
+        return {"blocks": [[0]], "block_map": [0], "quotient": _graph_json(g)}
+    partition = maximal_modular_partition(g)
+    return {
+        "blocks": [sorted(b) for b in partition.blocks],
+        "block_map": list(partition.block_map),
+        "quotient": _graph_json(partition.quotient),
+    }
 
 
-def _connected_input(path: str):
-    g, data = _load_graph(path)
-    if not is_connected(g):
-        raise GraphFileError("graph is not connected")
-    return g, data
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        g, data = _connected_input(args.path)
-    except (OSError, GraphFileError) as exc:
-        return _fail(str(exc))
+def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
+    g, echo = _load_graph(args.path)
     caps = Caps(args.word_cap, args.oracle_cap)
     verdict = classify(g, caps)
     report = {
         "command": "check",
-        "input": _input_json(args.path, data),
+        "input": echo,
         "caps": _caps_json(caps),
         "status": verdict.status.value,
         "witness": sorted(verdict.witness) if verdict.witness is not None else None,
@@ -129,10 +130,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if verdict.quotient_ref is not None
         else None,
     }
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _print_report(report)
-    return {
+    return report, {
         Status.WORD_REPRESENTABLE: EXIT_OK,
         Status.COMPARABILITY: EXIT_OK,
         Status.NOT_WORD_REPRESENTABLE: EXIT_NEGATIVE,
@@ -140,107 +138,62 @@ def cmd_check(args: argparse.Namespace) -> int:
     }[verdict.status]
 
 
-def cmd_repnum(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        g, data = _connected_input(args.path)
-    except (OSError, GraphFileError) as exc:
-        return _fail(str(exc))
+def cmd_repnum(args: argparse.Namespace) -> tuple[dict, int]:
+    g, echo = _load_graph(args.path)
     rep = rep_number(g, args.cap)
     report = {
         "command": "repnum",
-        "input": _input_json(args.path, data),
+        "input": echo,
         "caps": {"word_cap": args.cap},
         "status": "ok" if rep is not None else "cap-exceeded",
         "certificate": _cert_json(rep),
         "numbers": {"r": rep.k if rep is not None else None},
     }
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _print_report(report)
-    return EXIT_OK if rep is not None else EXIT_NO_INFORMATION
+    return report, EXIT_OK if rep is not None else EXIT_NO_INFORMATION
 
 
-def cmd_prn(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        g, data = _connected_input(args.path)
-    except (OSError, GraphFileError) as exc:
-        return _fail(str(exc))
+def cmd_prn(args: argparse.Namespace) -> tuple[dict, int]:
+    g, echo = _load_graph(args.path)
     o = find_transitive_orientation(g)
+    rep = prn_of_orientation(o, args.cap) if o is not None else None
     if o is None:
-        status, rep, code = "not-comparability", None, EXIT_NEGATIVE
+        status, code = "not-comparability", EXIT_NEGATIVE
+    elif rep is None:
+        status, code = "cap-exceeded", EXIT_NO_INFORMATION
     else:
-        rep = prn_of_orientation(o, args.cap)
-        if rep is None:
-            status, code = "cap-exceeded", EXIT_NO_INFORMATION
-        else:
-            status, code = "ok", EXIT_OK
+        status, code = "ok", EXIT_OK
     report = {
         "command": "prn",
-        "input": _input_json(args.path, data),
+        "input": echo,
         "caps": {"word_cap": args.cap},
         "status": status,
         "certificate": _cert_json(rep),
         "numbers": {"prn": rep.k if rep is not None else None},
     }
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _print_report(report)
-    return code
+    return report, code
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        g, data = _connected_input(args.path)
-    except (OSError, GraphFileError) as exc:
-        return _fail(str(exc))
-    if g.n == 1:
-        blocks: list[list[int]] = [[0]]
-        quotient_graph = make_graph(1, [])
-        block_map: tuple[int, ...] = (0,)
-    else:
-        partition = maximal_modular_partition(g)
-        blocks = [sorted(b) for b in partition.blocks]
-        quotient_graph = partition.quotient
-        block_map = partition.block_map
-    report = {
-        "command": "decompose",
-        "input": _input_json(args.path, data),
-        "status": "ok",
-        "blocks": blocks,
-        "block_map": list(block_map),
-        "quotient": _graph_json(quotient_graph),
-    }
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _print_report(report)
-    return EXIT_OK
+def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
+    g, echo = _load_graph(args.path)
+    report = {"command": "decompose", "input": echo, "status": "ok"}
+    return {**report, **_decomposition_json(g)}, EXIT_OK
 
 
-def cmd_product(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        g, data_g = _load_graph(args.path_g)
-        h, data_h = _load_graph(args.path_h)
-    except (OSError, GraphFileError) as exc:
-        return _fail(str(exc))
+def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
+    g, echo_g = _load_graph(args.path_g, connected=False)
+    h, echo_h = _load_graph(args.path_h, connected=False)
     if args.op == "substitute":
         if args.at is None:
-            return _fail("--op substitute requires --at PIVOT")
+            raise InputError("--op substitute requires --at PIVOT")
         if not 0 <= args.at < g.n:
-            return _fail(f"pivot {args.at} not in 0..{g.n - 1}")
+            raise InputError(f"pivot {args.at} not in 0..{g.n - 1}")
         product, _, _ = substitute(g, args.at, h)
     else:
         product, _ = lex_product(g, h)
     caps = Caps(args.word_cap, args.oracle_cap)
     report = {
         "command": "product",
-        "inputs": [
-            _input_json(args.path_g, data_g),
-            _input_json(args.path_h, data_h),
-        ],
+        "inputs": [echo_g, echo_h],
         "op": args.op,
         "at": args.at if args.op == "substitute" else None,
         "status": "ok",
@@ -278,12 +231,8 @@ def cmd_product(args: argparse.Namespace) -> int:
         report["certificate"] = certificate
         report["perm_certificate"] = perm_certificate
     if args.out is not None:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(report["graph_file"])
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _print_report(report)
-    return EXIT_OK
+        write_graph_file(args.out, product)
+    return report, EXIT_OK
 
 
 def _certificate(cert, g: Graph) -> Representation | None:
@@ -295,13 +244,6 @@ def _certificate(cert, g: Graph) -> Representation | None:
         return Representation(word_from_text(cert["word"]), cert["k"], cert["mode"], g)
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
-
-
-def _cert_replays(cert, g: Graph, claimed_k, permutational: bool) -> bool:
-    rep = _certificate(cert, g)
-    if rep is None or (permutational and rep.mode != PERMUTATIONAL):
-        return False
-    return claimed_k is None or rep.k == claimed_k
 
 
 def _field(report: dict, key: str, kind: type, default=None):
@@ -342,35 +284,26 @@ def _check_verdict(report: dict, numbers: dict, g: Graph) -> Verdict:
 
 
 def _replay_report(
-    report: dict, command, digest, numbers: dict, graph_file: str,
-    verdict: Verdict | None, g: Graph, data: bytes, replay_cap: int,
+    report: dict, command, numbers: dict, graph_file: str, verdict: Verdict | None,
+    g: Graph, replay_cap: int,
 ) -> bool:
-    if command in ("check", "repnum", "prn", "decompose"):
-        if digest != hashlib.sha256(data).hexdigest():
-            return False
     status = report.get("status")
-
     if command == "check":
         return verify_verdict(verdict, g, replay_cap)
     if command == "repnum":
         if status == "cap-exceeded":
             return report.get("certificate") is None
-        return _cert_replays(report.get("certificate"), g, numbers.get("r"), False)
+        cert = _certificate(report.get("certificate"), g)
+        return certificate_replays(cert, g, numbers.get("r"))
     if command == "prn":
         if status == "not-comparability":
             return find_transitive_orientation(g) is None
         if status == "cap-exceeded":
             return find_transitive_orientation(g) is not None
-        return _cert_replays(report.get("certificate"), g, numbers.get("prn"), True)
+        cert = _certificate(report.get("certificate"), g)
+        return certificate_replays(cert, g, numbers.get("prn"), permutational=True)
     if command == "decompose":
-        if g.n == 1:
-            return report.get("blocks") == [[0]]
-        partition = maximal_modular_partition(g)
-        return (
-            report.get("blocks") == [sorted(b) for b in partition.blocks]
-            and report.get("block_map") == list(partition.block_map)
-            and report.get("quotient") == _graph_json(partition.quotient)
-        )
+        return all(report.get(k) == v for k, v in _decomposition_json(g).items())
     if command == "product":
         try:
             emitted = parse_graph_text(graph_file)
@@ -382,8 +315,10 @@ def _replay_report(
             return True
         return all(
             report.get(key) is None
-            or _cert_replays(report[key], g, numbers.get(number), permutational)
-            for key, number, permutational in (
+            or certificate_replays(
+                _certificate(report[key], g), g, numbers.get(number), perm
+            )
+            for key, number, perm in (
                 ("certificate", "r", False),
                 ("perm_certificate", "prn", True),
             )
@@ -391,13 +326,13 @@ def _replay_report(
     return False
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    g, echo = _load_graph(args.path, connected=False)
     try:
-        g, data = _load_graph(args.path)
         with open(args.report, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, GraphFileError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
+        raise InputError(str(exc)) from None
     try:
         command = report.get("command")
         digest = _field(report, "input", dict, {}).get("sha256")
@@ -405,24 +340,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         graph_file = _field(report, "graph_file", str, "")
         verdict = _check_verdict(report, numbers, g) if command == "check" else None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        return _fail(f"malformed report: {exc!r}")
-    try:
-        valid = _replay_report(
-            report, command, digest, numbers, graph_file, verdict, g, data,
-            args.replay_cap,
-        )
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_INFORMATION
-    _print_report(
-        {
-            "command": "verify",
-            "report_command": command,
-            "input": _input_json(args.path, data),
-            "valid": valid,
-        }
+        raise InputError(f"malformed report: {exc!r}") from None
+    # a product report names no single input; it is checked against the
+    # graph file it emitted
+    valid = (command == "product" or digest == echo["sha256"]) and _replay_report(
+        report, command, numbers, graph_file, verdict, g, args.replay_cap
     )
-    return EXIT_OK if valid else EXIT_NEGATIVE
+    result = {"command": "verify", "report_command": command, "input": echo, "valid": valid}
+    return result, EXIT_OK if valid else EXIT_NEGATIVE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -481,15 +406,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("report")
     p.add_argument("--replay-cap", type=int, default=oracle_cap)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, timing=False)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if args.timing:
+            report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return code
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except CapExceeded as exc:  # raised only by a verify replay past --replay-cap
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_INFORMATION
     except Exception:
         import traceback  # imported here: it costs every cold start several ms
 

@@ -67,10 +67,6 @@ def make_graph(n: int, edges: Iterable[Edge] = ()) -> Graph:
     return Graph(n, frozenset(canon))
 
 
-def vertices(g: Graph) -> range:
-    return range(g.n)
-
-
 def neighborhood(g: Graph, v: int) -> frozenset[int]:
     """The set of vertices adjacent to v (v itself is never included)."""
     if not 0 <= v < g.n:

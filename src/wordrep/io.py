@@ -59,11 +59,6 @@ def parse_graph_text(text: str) -> Graph:
     return g
 
 
-def parse_graph_file(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph_text(fh.read())
-
-
 def format_graph_text(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines += [f"{u} {v}" for u, v in sorted(g.edges)]

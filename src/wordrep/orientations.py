@@ -82,7 +82,6 @@ def _shortcut_free(n: int, succ: list[int], order: list[int]) -> bool:
     interior vertices; each such path must have every forward pair present
     as an arc, otherwise the closing arc u -> v is a shortcut.
     """
-    pos = {v: i for i, v in enumerate(order)}
     desc = [0] * n
     for v in reversed(order):
         acc = 0

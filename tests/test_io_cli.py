@@ -115,10 +115,18 @@ def test_check_report_is_byte_stable(capsys):
 
 
 def test_check_timing_flag(capsys):
-    _, report = report_of(capsys, "check", FIXTURES / "k2.graph", "--timing")
-    assert "timing_ms" in report
-    _, report = report_of(capsys, "check", FIXTURES / "k2.graph")
-    assert "timing_ms" not in report
+    k2 = FIXTURES / "k2.graph"
+    for argv in (
+        ("check", k2),
+        ("repnum", k2),
+        ("prn", k2),
+        ("decompose", k2),
+        ("product", k2, k2, "--op", "lex"),
+    ):
+        _, report = report_of(capsys, *argv, "--timing")
+        assert "timing_ms" in report, argv
+        _, report = report_of(capsys, *argv)
+        assert "timing_ms" not in report, argv
 
 
 # ---------------------------------------------------------------------- repnum
@@ -269,7 +277,7 @@ def roundtrip_verify(capsys, tmp_path, graph_path, *cmd_argv):
 
 
 @pytest.mark.parametrize(
-    "name,command",
+    "argv",
     [
         ("w5.graph", "check"),
         ("w6.graph", "check"),
@@ -278,11 +286,16 @@ def roundtrip_verify(capsys, tmp_path, graph_path, *cmd_argv):
         ("c6.graph", "prn"),
         ("c5.graph", "prn"),
         ("w6.graph", "decompose"),
+        ("k1.graph", "decompose"),  # the one-vertex branch
+        ("c6.graph", "repnum", "--cap", "1"),  # cap exceeded
+        ("c6.graph", "prn", "--cap", "1"),  # cap exceeded
     ],
+    ids="-".join,
 )
-def test_verify_accepts_fresh_reports(capsys, tmp_path, name, command):
+def test_verify_accepts_fresh_reports(capsys, tmp_path, argv):
+    name, command, *options = argv
     path = FIXTURES / name
-    _, vcode, vreport = roundtrip_verify(capsys, tmp_path, path, command, path)
+    _, vcode, vreport = roundtrip_verify(capsys, tmp_path, path, command, path, *options)
     assert vcode == 0
     assert vreport["valid"] is True
 
@@ -304,6 +317,28 @@ def test_verify_rejects_non_string_word(capsys, tmp_path, command):
     report["certificate"]["word"] = 5
     report_path = write_report(tmp_path, json.dumps(report))
     vcode, vout, _ = run(capsys, "verify", FIXTURES / "c6.graph", report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
+@pytest.mark.parametrize("command", ["check", "repnum"])
+def test_verify_reads_multiplicity_from_the_word(capsys, tmp_path, command):
+    # a general certificate labelled "k": null still backs the claimed r when
+    # its word has that uniformity, whatever the report's command
+    _, out, _ = run(capsys, command, FIXTURES / "c6.graph")
+    report = json.loads(out)
+    report["certificate"]["k"] = None
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", FIXTURES / "c6.graph", report_path)
+    assert vcode == 0
+    assert json.loads(vout)["valid"] is True
+
+
+def test_verify_rejects_one_vertex_decomposition_with_wrong_block_map(capsys, tmp_path):
+    _, out, _ = run(capsys, "decompose", FIXTURES / "k1.graph")
+    report = {**json.loads(out), "block_map": [5]}
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", FIXTURES / "k1.graph", report_path)
     assert vcode == 1
     assert json.loads(vout)["valid"] is False
 
@@ -347,6 +382,30 @@ def test_verify_malformed_report_exits_64(capsys, tmp_path, argv, mangle):
     vcode, vout, verr = run(capsys, "verify", argv[1], report_path)
     assert vcode == 64 and vout == ""
     assert verr.startswith("error: malformed") and verr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "nonascii.graph"),
+        ("verify", FIXTURES / "c6.graph", "notutf8.json"),
+        ("verify", FIXTURES / "c6.graph", "missing.json"),
+        ("verify", FIXTURES / "c6.graph", "notjson.json"),
+        ("product", FIXTURES / "k2.graph", "missing.graph", "--op", "lex"),
+    ],
+    ids=[
+        "check-graph-not-ascii", "verify-report-not-utf8", "verify-report-missing",
+        "verify-report-not-json", "product-input-missing",
+    ],
+)
+def test_input_error_exits_64_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    (tmp_path / "nonascii.graph").write_bytes("# café\n2 1\n0 1\n".encode("utf-8"))
+    (tmp_path / "notutf8.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "notjson.json").write_text("{not json")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_internal_error_exits_70_with_traceback(capsys, monkeypatch):
