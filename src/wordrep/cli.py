@@ -285,21 +285,26 @@ def _check_verdict(report: dict, numbers: dict, g: Graph) -> Verdict:
 
 def _replay_report(
     report: dict, command, numbers: dict, graph_file: str, verdict: Verdict | None,
-    g: Graph, replay_cap: int,
+    word_cap: int | None, g: Graph, replay_cap: int,
 ) -> bool:
     status = report.get("status")
     if command == "check":
         return verify_verdict(verdict, g, replay_cap)
+    if word_cap is not None:  # a cap-exceeded repnum or prn report: rerun the search
+        if g.m > replay_cap:
+            raise CapExceeded(f"search replay: {g.m} edges exceed cap {replay_cap}")
+        if report.get("certificate") is not None:
+            return False
+        if command == "repnum":
+            return rep_number(g, word_cap) is None
+        o = find_transitive_orientation(g)
+        return o is not None and prn_of_orientation(o, word_cap) is None
     if command == "repnum":
-        if status == "cap-exceeded":
-            return report.get("certificate") is None
         cert = _certificate(report.get("certificate"), g)
         return certificate_replays(cert, g, numbers.get("r"))
     if command == "prn":
         if status == "not-comparability":
             return find_transitive_orientation(g) is None
-        if status == "cap-exceeded":
-            return find_transitive_orientation(g) is not None
         cert = _certificate(report.get("certificate"), g)
         return certificate_replays(cert, g, numbers.get("prn"), permutational=True)
     if command == "decompose":
@@ -339,12 +344,17 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         numbers = _field(report, "numbers", dict, {})
         graph_file = _field(report, "graph_file", str, "")
         verdict = _check_verdict(report, numbers, g) if command == "check" else None
+        word_cap = None
+        if command in ("repnum", "prn") and report.get("status") == "cap-exceeded":
+            word_cap = report["caps"]["word_cap"]
+            if not isinstance(word_cap, int) or word_cap < 1:
+                raise ValueError(f"'word_cap' must be a positive int, not {word_cap!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed report: {exc!r}") from None
     # a product report names no single input; it is checked against the
     # graph file it emitted
     valid = (command == "product" or digest == echo["sha256"]) and _replay_report(
-        report, command, numbers, graph_file, verdict, g, args.replay_cap
+        report, command, numbers, graph_file, verdict, word_cap, g, args.replay_cap
     )
     result = {"command": "verify", "report_command": command, "input": echo, "valid": valid}
     return result, EXIT_OK if valid else EXIT_NEGATIVE

@@ -117,10 +117,12 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     """The unique partition of a connected graph into maximal strong modules.
 
     Case split on Gallai's structure: if the complement is disconnected, the
-    blocks are the co-components; otherwise two vertices share a block iff
-    the smallest module containing both is proper. Prime graphs and complete
-    graphs come out as all-singleton partitions whose quotient is the graph
-    itself.
+    blocks are the co-components. Otherwise the quotient is prime, so every
+    proper module lies inside one block; the block of the lowest vertex v
+    not yet covered is v plus every y whose smallest module containing v
+    and y is proper, and each such module joins the block at once, so its
+    members need no closure of their own. Prime graphs and complete graphs
+    come out as all-singleton partitions whose quotient is the graph itself.
     """
     if g.n < 2:
         raise ValueError("maximal modular partition needs at least two vertices")
@@ -130,27 +132,20 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     if len(co_components) >= 2:
         blocks = co_components
     else:
-        # complement connected: maximal proper strong modules are the classes
-        # of "the smallest module containing {x, y} is not the whole set"
         full = (1 << g.n) - 1
-        parent = list(range(g.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                if find(x) == find(y):
-                    continue
-                if _modular_closure_mask(g, (1 << x) | (1 << y)) != full:
-                    parent[find(x)] = find(y)
-        groups: dict[int, set[int]] = {}
+        blocks = []
+        covered = 0
         for v in range(g.n):
-            groups.setdefault(find(v), set()).add(v)
-        blocks = [frozenset(b) for b in groups.values()]
+            if covered >> v & 1:
+                continue
+            block = 1 << v
+            for y in range(v + 1, g.n):
+                if not (covered | block) >> y & 1:
+                    closure = _modular_closure_mask(g, 1 << v | 1 << y)
+                    if closure != full:
+                        block |= closure
+            covered |= block
+            blocks.append(frozenset(iter_bits(block)))
     blocks = sorted(blocks, key=min)
     q, block_map = quotient(g, blocks)
     return ModularPartition(g, tuple(blocks), q, block_map)

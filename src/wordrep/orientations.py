@@ -183,84 +183,64 @@ def exists_semi_transitive_orientation(
 
 
 def find_transitive_orientation(g: Graph) -> Orientation | None:
-    """A transitive orientation if one exists, else None.
+    """The lexicographically first transitive orientation, or None.
 
-    Backtracking over edges with forcing propagation: orienting x -> y
-    forces x -> w for every neighbor w of x that is not adjacent to y, and
-    w -> y for every neighbor w of y not adjacent to x; partial transitive
-    closures are propagated and contradictions prune the branch.
+    One forcing pass over the sorted edges: each edge not yet oriented gets
+    its stored direction u -> v, and ``place`` propagates two rules to
+    fixpoint. Orienting x -> y forces x -> w for every neighbor w of x not
+    adjacent to y and w -> y for every neighbor w of y not adjacent to x
+    (Pnueli, Lempel & Even 1971), and it closes every path x -> y -> w and
+    w -> x -> y with its transitive arc. A contradiction means no transitive
+    orientation exists.
+
+    Why the pass never needs to take a choice back: the placed arcs P are
+    closed under both rules, so P is a union of implication classes. Every
+    class lies in one node of the modular decomposition tree: all edges
+    spanned by a prime node form one class, and so do all edges between two
+    children of a series node, because each child is co-connected. So P
+    fixes an orientation at some prime nodes and a partial order on the
+    children of some series nodes, transitive by the closure rule. An unset
+    edge lies in an untouched prime node or joins two children that P leaves
+    incomparable, so either direction extends to a transitive orientation
+    (Gallai 1967). Forcing is sound, so the result is the first solution of
+    a backtracking search that tries the stored direction first: the
+    lexicographically first transitive orientation.
     """
-    n = g.n
-    edges = sorted(g.edges)
-    m = len(edges)
-    if m == 0:
-        return Orientation(g, frozenset())
-    eidx: dict[tuple[int, int], int] = {}
-    for i, (u, v) in enumerate(edges):
-        eidx[(u, v)] = i
-        eidx[(v, u)] = i
     adj = g.adj
-    dirs = [0] * m  # 0 unset, 1 = as stored (u -> v), 2 = reversed
-    succ = [0] * n
-    pred = [0] * n
+    succ = [0] * g.n
+    pred = [0] * g.n
 
-    def arc_of(i: int, d: int) -> tuple[int, int]:
-        u, v = edges[i]
-        return (u, v) if d == 1 else (v, u)
-
-    def want(x: int, y: int) -> tuple[int, int]:
-        u, _ = edges[eidx[(x, y)]]
-        return eidx[(x, y)], 1 if u == x else 2
-
-    def place(i: int, d: int, trail: list[tuple[int, int, int]]) -> bool:
-        queue = [(i, d)]
+    def place(x: int, y: int) -> bool:
+        queue = [(x, y)]
         while queue:
-            j, dj = queue.pop()
-            if dirs[j] == dj:
+            x, y = queue.pop()
+            if succ[x] >> y & 1:
                 continue
-            if dirs[j] != 0:
+            if succ[y] >> x & 1:
                 return False
-            x, y = arc_of(j, dj)
-            dirs[j] = dj
             succ[x] |= 1 << y
             pred[y] |= 1 << x
-            trail.append((j, x, y))
             # same-endpoint forcing
             for w in iter_bits(adj[x] & ~adj[y] & ~(1 << y)):
-                queue.append(want(x, w))
+                queue.append((x, w))
             for w in iter_bits(adj[y] & ~adj[x] & ~(1 << x)):
-                queue.append(want(w, y))
+                queue.append((w, y))
             # transitive closure through the new arc
             for w in iter_bits(succ[y]):
                 if not adj[x] >> w & 1:
                     return False
-                queue.append(want(x, w))
+                queue.append((x, w))
             for w in iter_bits(pred[x]):
                 if not adj[w] >> y & 1:
                     return False
-                queue.append(want(w, y))
+                queue.append((w, y))
         return True
 
-    def undo(trail: list[tuple[int, int, int]]) -> None:
-        for j, x, y in trail:
-            dirs[j] = 0
-            succ[x] &= ~(1 << y)
-            pred[y] &= ~(1 << x)
-
-    def dfs() -> bool:
-        j = next((i for i in range(m) if dirs[i] == 0), None)
-        if j is None:
-            return True
-        for d in (1, 2):
-            trail: list[tuple[int, int, int]] = []
-            if place(j, d, trail) and dfs():
-                return True
-            undo(trail)
-        return False
-
-    if not dfs():
+    if not all(
+        succ[u] >> v & 1 or succ[v] >> u & 1 or place(u, v) for u, v in sorted(g.edges)
+    ):
         return None
-    o = Orientation(g, frozenset(arc_of(i, dirs[i]) for i in range(m)))
+    o = Orientation(g, frozenset((x, y) for x in range(g.n) for y in iter_bits(succ[x])))
     assert is_transitive(o)
     return o
 
@@ -359,21 +339,27 @@ def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None
         return finish([list(base_succ)])
     for k in range(2, cap + 1):
         succs = [list(base_succ) for _ in range(k)]
-
-        def dfs(i: int, used: int) -> bool:
-            if i == len(inc):
-                return True
+        # depth-first over pairs with an explicit stack of (pair index, slot,
+        # slots used before the pair): pair i tries slots c, c + 1, ... of
+        # the first min(used + 1, k), the extra one opening a new slot
+        stack: list[tuple[int, int, int]] = []
+        i = c = used = 0
+        while i < len(inc):
             a, b = inc[i]  # some slot must put b before a
-            for c in range(min(used + 1, k)):
-                s = succs[c]
-                if not _reaches(s, a, b):
-                    s[b] |= 1 << a
-                    if dfs(i + 1, max(used, c + 1)):
-                        return True
-                    s[b] &= ~(1 << a)
-            return False
-
-        if dfs(0, 0):
+            while c < min(used + 1, k) and _reaches(succs[c], a, b):
+                c += 1
+            if c < min(used + 1, k):
+                succs[c][b] |= 1 << a
+                stack.append((i, c, used))
+                i, c, used = i + 1, 0, max(used, c + 1)
+            elif stack:
+                i, c, used = stack.pop()
+                a, b = inc[i]
+                succs[c][b] &= ~(1 << a)
+                c += 1
+            else:
+                break
+        else:
             return finish(succs)
     return None
 

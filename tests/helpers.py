@@ -31,6 +31,11 @@ def wheel(rim: int) -> Graph:
     return make_graph(rim + 1, edges)
 
 
+def cone(h: Graph) -> Graph:
+    """h plus one vertex adjacent to all of it."""
+    return make_graph(h.n + 1, list(h.edges) + [(v, h.n) for v in range(h.n)])
+
+
 def star(leaves: int) -> Graph:
     return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 

@@ -21,7 +21,7 @@ from wordrep import (
     verify,
 )
 from wordrep.modular import induced_block_graphs
-from helpers import atlas_connected, complete, cycle, path_graph, prism, random_connected_graph, star, wheel
+from helpers import atlas_connected, complete, cone, cycle, path_graph, prism, random_connected_graph, star, wheel
 
 
 def is_wr_status(status):
@@ -332,3 +332,25 @@ def test_one_partition_per_classify_and_reduced_verify(monkeypatch, g, caps):
     # only a reduced verdict replays the partition
     reduced = verdict.status == Status.REDUCED_TO_QUOTIENT
     assert calls == ([g] if reduced else [])
+
+
+LARGE_INPUTS = {
+    # the transitive orientation search recursed once per free edge and the
+    # realizer once per incomparable pair, so each of these raised
+    # RecursionError (K60 only when oriented directly: classify decides a
+    # complete graph without orienting it)
+    "cone-k60+k1": (cone(make_graph(61, complete(60).edges)), 2, 2),
+    "k60": (complete(60), 1, 1),
+    "p40": (path_graph(40), 2, 2),
+    "p4-antichain40": (substitute(path_graph(4), 0, make_graph(40))[0], 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_INPUTS)
+def test_large_inputs_decide_without_recursion_error(name):
+    g, r, prn = LARGE_INPUTS[name]
+    assert find_transitive_orientation(g) is not None
+    verdict = classify(g)
+    assert verdict.status == Status.COMPARABILITY
+    assert (verdict.r_number, verdict.prn_number) == (r, prn)
+    assert verify(verdict, g)

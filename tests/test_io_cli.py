@@ -6,7 +6,7 @@ import pytest
 from wordrep import make_graph
 from wordrep.cli import main
 from wordrep.io import GraphFileError, format_graph_text, parse_graph_text
-from helpers import cycle, wheel
+from helpers import complete, cone, cycle, path_graph, wheel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -127,6 +127,21 @@ def test_check_timing_flag(capsys):
         assert "timing_ms" in report, argv
         _, report = report_of(capsys, *argv)
         assert "timing_ms" not in report, argv
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(40), cone(make_graph(61, complete(60).edges))],
+    ids=["p40", "cone-k60+k1"],
+)
+def test_check_decides_large_comparability_graphs(capsys, tmp_path, g):
+    # both raised RecursionError (exit 70) while the orientation search and
+    # the realizer recursed
+    path = tmp_path / "g.graph"
+    path.write_text(format_graph_text(g))
+    code, report = report_of(capsys, "check", path)
+    assert code == 0 and report["status"] == "comparability"
+    assert (report["numbers"]["r"], report["numbers"]["prn"]) == (2, 2)
 
 
 # ---------------------------------------------------------------------- repnum
@@ -343,6 +358,30 @@ def test_verify_rejects_one_vertex_decomposition_with_wrong_block_map(capsys, tm
     assert json.loads(vout)["valid"] is False
 
 
+@pytest.mark.parametrize("command", ["repnum", "prn"])
+def test_verify_reruns_the_capped_search_of_a_cap_exceeded_report(capsys, tmp_path, command):
+    # K2 has r = prn = 1, so a report claiming the search failed at cap 4 is
+    # forged; it used to verify without any search
+    _, out, _ = run(capsys, command, FIXTURES / "k2.graph")
+    report = json.loads(out)
+    number = "r" if command == "repnum" else "prn"
+    report.update(status="cap-exceeded", certificate=None, numbers={number: None})
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", FIXTURES / "k2.graph", report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
+def test_verify_cap_exceeded_replay_past_replay_cap_exits_2(capsys, tmp_path):
+    _, out, _ = run(capsys, "repnum", FIXTURES / "c6.graph", "--cap", "1")
+    report_path = write_report(tmp_path, out)
+    vcode, vout, verr = run(
+        capsys, "verify", FIXTURES / "c6.graph", report_path, "--replay-cap", "5"
+    )
+    assert vcode == 2 and vout == ""
+    assert verr.startswith("error: ")
+
+
 def test_verify_rejects_wrong_input_digest(capsys, tmp_path):
     code, out, _ = run(capsys, "repnum", FIXTURES / "c6.graph")
     report_path = write_report(tmp_path, out)
@@ -352,6 +391,7 @@ def test_verify_rejects_wrong_input_digest(capsys, tmp_path):
 
 
 CHECK_W6 = ("check", FIXTURES / "w6.graph")
+REPNUM_C6_CAP_1 = ("repnum", FIXTURES / "c6.graph", "--cap", "1")
 
 
 @pytest.mark.parametrize(
@@ -364,6 +404,9 @@ CHECK_W6 = ("check", FIXTURES / "w6.graph")
         (CHECK_W6, lambda report: {**report, "input": []}),
         (CHECK_W6, lambda report: {**report, "witness": ["a", "b"]}),
         (("repnum", FIXTURES / "c6.graph"), lambda report: {**report, "numbers": [1]}),
+        (REPNUM_C6_CAP_1, lambda report: {**report, "caps": {"word_cap": "1"}}),
+        (REPNUM_C6_CAP_1, lambda report: {**report, "caps": {"word_cap": 0}}),
+        (REPNUM_C6_CAP_1, lambda report: {**report, "caps": []}),
         (
             ("product", FIXTURES / "k2.graph", FIXTURES / "c6.graph",
              "--op", "substitute", "--at", "0"),
@@ -373,6 +416,7 @@ CHECK_W6 = ("check", FIXTURES / "w6.graph")
     ids=[
         "list", "missing-caps", "unknown-cap-key", "check-input-string",
         "check-input-list", "check-witness-strings", "repnum-numbers-list",
+        "capped-word-cap-string", "capped-word-cap-zero", "capped-caps-list",
         "product-graph-file-int",
     ],
 )

@@ -20,6 +20,7 @@ from helpers import (
     complete,
     cycle,
     random_connected_graph,
+    random_graph,
     star,
     wheel,
 )
@@ -108,6 +109,15 @@ def test_partition_matches_enumeration_oracle():
     graphs = list(atlas_connected(6)) + [
         random_connected_graph(rng, n) for n in (7, 8, 9, 10) for _ in range(12)
     ]
+    # substitutions into prime quotients: graphs whose complement is
+    # connected, with nontrivial blocks, within all_modules' n <= 15
+    primes = [q for q in atlas_connected(5, min_n=4) if len(all_modules(q)) == q.n + 1]
+    for _ in range(12):
+        g = rng.choice(primes)
+        # highest pivot first, so the lower pivots keep their labels
+        for pivot in sorted(rng.sample(range(g.n), rng.randint(1, 3)), reverse=True):
+            g, _, _ = substitute(g, pivot, random_graph(rng, rng.randint(2, 4), rng.random()))
+        graphs.append(g)
     for g in graphs:
         if g.n < 2:
             continue

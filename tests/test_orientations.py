@@ -71,6 +71,23 @@ def test_find_transitive_orientation_agrees_with_brute_force():
         )
 
 
+def test_transitive_orientation_is_the_lexicographically_first():
+    # all_orientations lists orientations in lexicographic order over the
+    # sorted edges, each edge's stored direction first; the forcing pass
+    # must return the first transitive one, as a backtracking search would
+    import networkx as nx
+
+    graphs = [
+        make_graph(g.number_of_nodes(), [(int(u), int(v)) for u, v in g.edges()])
+        for g in nx.graph_atlas_g()
+        if 1 <= g.number_of_nodes() <= 6
+    ]
+    assert len(graphs) == 208
+    for g in graphs:
+        first = next((o for o in all_orientations(g) if is_transitive(o)), None)
+        assert find_transitive_orientation(g) == first
+
+
 def test_every_transitive_orientation_is_semi_transitive():
     for g in atlas_connected(5):
         for o in all_orientations(g):
