@@ -352,8 +352,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed report: {exc!r}") from None
     # a product report names no single input; it is checked against the
-    # graph file it emitted
-    valid = (command == "product" or digest == echo["sha256"]) and _replay_report(
+    # graph file it emitted, which may be disconnected. Every other report
+    # was made from a connected graph.
+    valid = (
+        command == "product" or (digest == echo["sha256"] and is_connected(g))
+    ) and _replay_report(
         report, command, numbers, graph_file, verdict, word_cap, g, args.replay_cap
     )
     result = {"command": "verify", "report_command": command, "input": echo, "valid": valid}

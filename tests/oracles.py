@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from wordrep import Graph, all_modules, represents
-from wordrep.orientations import Orientation, is_semi_transitive, is_transitive
+from wordrep.orientations import Orientation, is_transitive
 from wordrep.words import Word
 
 
@@ -58,8 +58,34 @@ def brute_has_transitive_orientation(g: Graph) -> bool:
     return any(is_transitive(o) for o in all_orientations(g))
 
 
+def brute_is_semi_transitive(o: Orientation) -> bool:
+    """Acyclic and shortcut-free, straight from the definition.
+
+    Every directed path is listed by extending paths one arc at a time; an
+    arc back into the path is a directed cycle. A path v1 -> ... -> vk with
+    k >= 4 that is closed by the arc v1 -> vk and misses the arc vi -> vj for
+    some i < j is a shortcut.
+    """
+    out: dict[int, list[int]] = {v: [] for v in range(o.base.n)}
+    for x, y in o.arcs:
+        out[x].append(y)
+    stack = [[v] for v in range(o.base.n)]
+    while stack:
+        path = stack.pop()
+        for w in out[path[-1]]:
+            if w in path:
+                return False
+            stack.append(path + [w])
+        k = len(path)
+        if k >= 4 and (path[0], path[-1]) in o.arcs and any(
+            (path[i], path[j]) not in o.arcs for i in range(k) for j in range(i + 1, k)
+        ):
+            return False
+    return True
+
+
 def brute_exists_semi_transitive(g: Graph) -> bool:
-    return any(is_semi_transitive(o) for o in all_orientations(g))
+    return any(brute_is_semi_transitive(o) for o in all_orientations(g))
 
 
 def _overlap(a: frozenset, b: frozenset) -> bool:

@@ -1,12 +1,26 @@
+import hashlib
+import io
 import json
+import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordrep import make_graph
 from wordrep.cli import main
 from wordrep.io import GraphFileError, format_graph_text, parse_graph_text
-from helpers import complete, cone, cycle, path_graph, wheel
+from helpers import (
+    complete,
+    cone,
+    cycle,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+    wheel,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -388,6 +402,69 @@ def test_verify_rejects_wrong_input_digest(capsys, tmp_path):
     vcode, vout, _ = run(capsys, "verify", FIXTURES / "c5.graph", report_path)
     assert vcode == 1
     assert json.loads(vout)["valid"] is False
+
+
+@pytest.mark.parametrize("command", ["decompose", "check"])
+def test_verify_rejects_a_report_against_a_disconnected_graph(capsys, tmp_path, command):
+    # only a product report may replay against a disconnected graph; the
+    # decomposition replay used to raise on one and exit 70
+    _, out, _ = run(capsys, command, FIXTURES / "c5.graph")
+    report = json.loads(out)
+    if command == "check":
+        report["status"] = "reduced-to-quotient"
+    disconnected = tmp_path / "2k2.graph"
+    disconnected.write_bytes(b"4 2\n0 1\n2 3\n")
+    report["input"]["sha256"] = hashlib.sha256(disconnected.read_bytes()).hexdigest()
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", disconnected, report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
+FUZZ_VALUES = (
+    None, 0, -1, "", "x", "0 1 0 1", [], [0, 1], {}, {"word": "0"},
+    "word-representable", "comparability", "not-word-representable",
+    "reduced-to-quotient", "cap-exceeded", "not-comparability",
+    {"n": 2, "edges": [[0, 1]]},
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    argv=st.sampled_from([
+        ("check",), ("check", "--word-cap", "1"), ("repnum",), ("repnum", "--cap", "1"),
+        ("prn",), ("prn", "--cap", "1"), ("decompose",),
+    ]),
+    data=st.data(),
+)
+def test_verify_never_exits_70_on_mutated_reports(seed, argv, data):
+    # a report with 1-3 fields replaced, at the top level or one level down,
+    # replayed against its own graph or another one, possibly disconnected,
+    # whose digest it names: verify answers 0, 1, 2 or 64, never a traceback
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, rng.randint(1, 6))
+    target = g if data.draw(st.booleans()) else random_graph(rng, rng.randint(1, 6))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(stdout), redirect_stderr(stderr):
+        source_path, target_path = Path(tmp) / "g.graph", Path(tmp) / "target.graph"
+        source_path.write_text(format_graph_text(g))
+        target_path.write_text(format_graph_text(target))
+        main([argv[0], str(source_path), *argv[1:]])
+        report = json.loads(stdout.getvalue())
+        report["input"]["sha256"] = hashlib.sha256(target_path.read_bytes()).hexdigest()
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from(sorted(report)))
+            value = data.draw(st.sampled_from(FUZZ_VALUES))
+            inner = report[key]
+            if isinstance(inner, dict) and inner and data.draw(st.booleans()):
+                report[key] = {**inner, data.draw(st.sampled_from(sorted(inner))): value}
+            else:
+                report[key] = value
+        report_path = Path(tmp) / "report.json"
+        report_path.write_text(json.dumps(report))
+        code = main(["verify", str(target_path), str(report_path)])
+    assert code != 70, stderr.getvalue()
 
 
 CHECK_W6 = ("check", FIXTURES / "w6.graph")

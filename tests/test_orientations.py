@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wordrep import (
@@ -14,11 +16,12 @@ from wordrep import (
     poset_of,
 )
 from wordrep.orientations import Orientation
-from helpers import atlas_connected, complete, cycle, path_graph, wheel
+from helpers import atlas_connected, complete, cycle, path_graph, random_graph, wheel
 from oracles import (
     all_orientations,
     brute_exists_semi_transitive,
     brute_has_transitive_orientation,
+    brute_is_semi_transitive,
 )
 
 
@@ -114,6 +117,39 @@ def test_shortcut_detection_minimal_example():
     g2 = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (0, 2)])
     o2 = orient(g2, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (0, 2)])
     assert is_semi_transitive(o2)
+
+
+def test_semi_transitivity_matches_the_definition():
+    # every orientation, cyclic ones included, of the small connected graphs
+    # and of W5, then seeded random acyclic orientations (each edge points
+    # along a random vertex order)
+    for g in atlas_connected(5) + (wheel(5),):
+        for o in all_orientations(g):
+            assert is_semi_transitive(o) == brute_is_semi_transitive(o), o
+    rng = random.Random(7)
+    for _ in range(10_000):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.random())
+        rank = rng.sample(range(n), n)
+        o = orient(g, [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges])
+        assert is_semi_transitive(o) == brute_is_semi_transitive(o), o
+
+
+def test_semi_transitivity_check_is_polynomial_on_transitive_orientations():
+    # a transitive orientation has exponentially many paths between the ends
+    # of its arcs, which a path search would walk one by one
+    assert is_semi_transitive(find_transitive_orientation(complete(40)))
+    rng = random.Random(40)
+    points = [(rng.random(), rng.random()) for _ in range(40)]
+    order = [
+        (a, b)
+        for a in range(40)
+        for b in range(40)
+        if points[a][0] < points[b][0] and points[a][1] < points[b][1]
+    ]
+    g = make_graph(40, order)
+    assert g.m > 300
+    assert is_semi_transitive(orient(g, order))
 
 
 def test_oracle_w5_false_w6_true_c5_true():
