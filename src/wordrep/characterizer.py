@@ -305,5 +305,6 @@ def verify(
             )
         return not exists_semi_transitive_orientation(g, replay_edge_cap)
     if verdict.status == Status.REDUCED_TO_QUOTIENT:
-        return _reduction_target(g) == verdict.quotient_ref
+        # the pipeline reaches no quotient of a disconnected graph
+        return is_connected(g) and _reduction_target(g) == verdict.quotient_ref
     return False

@@ -6,8 +6,10 @@ shortcut is a directed path v1 -> v2 -> ... -> vk (k >= 4) closed by the arc
 v1 -> vk in which some intermediate pair is a non-edge or is oriented
 against the path. Checking one orientation is polynomial: an acyclic one has
 no shortcut iff the vertices on the directed paths of each arc induce a
-transitive orientation (see ``_shortcut_free``). Searching for one is
-exponential in the edge count and is guarded by an edge-count cap.
+transitive orientation (see ``_shortcut_free``). The search for one places
+vertices one at a time and drops a branch as soon as the placed vertices
+carry a cycle or a shortcut; it is still exponential in the worst case and is
+guarded by an edge-count cap.
 """
 
 from __future__ import annotations
@@ -94,7 +96,10 @@ def _shortcut_free(n: int, succ: list[int], order: list[int]) -> bool:
     (a, b) != (u, v). It is closed by u -> v and misses a -> b, so it is a
     shortcut.
 
-    The check costs O(m n) mask operations.
+    An arc with fewer than two vertices strictly inside its interval is
+    skipped: its interval is {u, v}, or {u, a, v} where the paths u ~> a and
+    a ~> v, which stay inside it, are the arcs u -> a and a -> v; both are
+    transitive. The check costs O(m n) mask operations.
     """
     desc = [0] * n
     for v in reversed(order):
@@ -108,7 +113,10 @@ def _shortcut_free(n: int, succ: list[int], order: list[int]) -> bool:
             anc[w] |= anc[v] | (1 << v)
     for u in range(n):
         for v in iter_bits(succ[u]):
-            interval = desc[u] & anc[v] | (1 << u) | (1 << v)
+            inner = desc[u] & anc[v]
+            if not inner & (inner - 1):  # fewer than two inner vertices
+                continue
+            interval = inner | (1 << u) | (1 << v)
             for a in iter_bits(interval):
                 if desc[a] & interval & ~succ[a]:
                     return False
@@ -141,36 +149,76 @@ def _reaches(succ: list[int], a: int, b: int) -> bool:
 def exists_semi_transitive_orientation(
     g: Graph, max_edges: int = DEFAULT_ORACLE_EDGE_CAP
 ) -> bool:
-    """Decide word-representability by exhausting orientations.
+    """Decide word-representability by a search over orientations.
 
-    Directions are assigned edge by edge; branches that close a directed
-    cycle are cut (only acyclic orientations can be semi-transitive), and
-    each complete acyclic orientation is tested with ``_shortcut_free``, a
-    polynomial check per leaf; the number of leaves is what grows
-    exponentially. Graphs with more than ``max_edges`` edges are refused.
+    Vertices are placed one at a time: next comes the vertex with the most
+    placed neighbours, ties broken by higher degree, then lower label. A
+    placed vertex v tries every direction of its arcs to its placed
+    neighbours, given as the set of them that v points to, and a branch is
+    cut as soon as the orientation on the placed vertices has a directed
+    cycle or a shortcut, found by ``_topological_order`` and
+    ``_shortcut_free``. Graphs with more than ``max_edges`` edges are
+    refused.
+
+    Why the cut is exact. Placing a vertex adds arcs at that vertex only: it
+    never changes a placed arc, and two placed vertices stay adjacent or
+    not. So the orientation on the placed vertices is the sub-orientation
+    they induce in every completion of the branch, and a cycle or shortcut
+    in it, which lives on its vertices, arcs and non-edges, is one in every
+    completion too.
+
+    Two more cuts, both exact. A vertex with no placed neighbour starts a
+    component, and the rest of that component comes right after it, since
+    each of its vertices has a placed neighbour until it is done. A cycle or
+    a shortcut lies inside one component, so reversing every arc of one
+    component keeps an orientation semi-transitive; hence the first arc of
+    each component, from the vertex that starts it to the next one placed,
+    is fixed. And the components placed before a vertex that starts one are
+    independent of everything placed from it on; once every branch below
+    that vertex has failed, no other choice above it can succeed, so the
+    search stops there.
     """
     if g.m > max_edges:
         raise CapExceeded(
             f"{g.m} edges exceed the orientation-enumeration cap {max_edges}"
         )
-    edges = sorted(g.edges)
+    steps = []  # (vertex, mask of its neighbours placed before it)
+    placed = 0
+    for _ in range(g.n):
+        v = max(
+            (v for v in range(g.n) if not placed >> v & 1),
+            key=lambda v: ((g.adj[v] & placed).bit_count(), g.adj[v].bit_count(), -v),
+        )
+        steps.append((v, g.adj[v] & placed))
+        placed |= 1 << v
     succ = [0] * g.n
-
-    def dfs(i: int) -> bool:
-        if i == len(edges):
-            order = _topological_order(g.n, succ)
-            assert order is not None
-            return _shortcut_free(g.n, succ, order)
-        u, v = edges[i]
-        for x, y in ((u, v), (v, u)):
-            if not _reaches(succ, y, x):
-                succ[x] |= 1 << y
-                if dfs(i + 1):
-                    return True
-                succ[x] &= ~(1 << y)
-        return False
-
-    return dfs(0)
+    out = [-1] * g.n  # per step: the placed neighbours v points to, -1 untried
+    i = 0
+    while i < g.n:
+        v, below = steps[i]
+        if out[i] >= 0:  # take the last choice back
+            succ[v] = 0
+            for w in iter_bits(below & ~out[i]):
+                succ[w] &= ~(1 << v)
+        if out[i] == 0:  # every choice failed
+            if not below:
+                return False
+            out[i] = -1
+            i -= 1
+            continue
+        if out[i] < 0:
+            # a component's second vertex (the step after one with no placed
+            # neighbour) takes only the arc from the first
+            out[i] = below if i and steps[i - 1][1] else 0
+        else:
+            out[i] = (out[i] - 1) & below
+        succ[v] = out[i]
+        for w in iter_bits(below & ~out[i]):
+            succ[w] |= 1 << v
+        order = _topological_order(g.n, succ)
+        if order is not None and _shortcut_free(g.n, succ, order):
+            i += 1
+    return True
 
 
 def find_transitive_orientation(g: Graph) -> Orientation | None:

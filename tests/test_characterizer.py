@@ -253,6 +253,14 @@ def test_verify_rejects_wrong_witness():
     assert not verify(trivial, wheel(5))  # the whole vertex set proves nothing
 
 
+def test_verify_rejects_a_reduced_verdict_on_a_disconnected_graph():
+    # no quotient is reached for a disconnected graph, so no reduced verdict
+    # replays against one
+    two_k2 = make_graph(4, [(0, 1), (2, 3)])
+    reduced = Verdict(Status.REDUCED_TO_QUOTIENT, Caps(), quotient_ref=complete(2))
+    assert not verify(reduced, two_k2)
+
+
 def test_classify_decomposable_nonwr_with_pendant_on_hub():
     # wheel(5) plus a pendant on the hub: the rim+pendant block fails
     g = make_graph(7, sorted(wheel(5).edges) + [(0, 6)])

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordrep import (
     CapExceeded,
+    alternation_graph,
     exists_semi_transitive_orientation,
     find_transitive_orientation,
     is_semi_transitive,
@@ -178,6 +180,80 @@ def test_oracle_refutes_exactly_the_26_atlas_graphs():
         g.n for g in atlas_connected(7, min_n=2) if not exists_semi_transitive_orientation(g)
     ]
     assert (refuted.count(6), refuted.count(7), len(refuted)) == (1, 25, 26)
+
+
+@st.composite
+def small_graphs(draw):
+    # connected or not, at most 7 vertices and 12 edges; some start from a
+    # relabelled W5, so that refutations and near misses come up too
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set()
+    if n >= 6 and draw(st.booleans()):
+        label = draw(st.permutations(range(n)))
+        edges = {(min(label[u], label[v]), max(label[u], label[v])) for u, v in wheel(5).edges}
+    edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12 - len(edges))))
+    return make_graph(n, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(g=small_graphs())
+def test_oracle_matches_raw_enumeration_on_random_graphs(g):
+    assert exists_semi_transitive_orientation(g) == brute_exists_semi_transitive(g)
+
+
+def test_oracle_accepts_graphs_of_random_words():
+    # a word's alternation graph is word-representable by definition
+    rng = random.Random(8)
+    for n in range(8, 13):
+        for _ in range(10):
+            word = [v for v in range(n) for _ in range(rng.randint(2, 3))]
+            rng.shuffle(word)
+            g, _ = alternation_graph(word)
+            assert exists_semi_transitive_orientation(g, max_edges=g.m), word
+
+
+def test_oracle_refutes_graphs_with_an_induced_odd_wheel():
+    # W5 and W7 are not word-representable, and the property is hereditary;
+    # extra vertices join the wheel and each other at random, leaving it induced
+    rng = random.Random(9)
+    for n in range(8, 13):
+        for rim in (5, 7):
+            for _ in range(3):
+                edges = list(wheel(rim).edges)
+                for v in range(rim + 1, n):
+                    edges += [(u, v) for u in range(v) if rng.random() < 0.5]
+                g = make_graph(n, edges)
+                assert not exists_semi_transitive_orientation(g, max_edges=g.m), edges
+
+
+def test_oracle_reach_past_the_leaf_enumeration():
+    # a prime W5 plus 6 vertices with 30 edges
+    # (perfbench.workloads.wheel_plus(Random(1), 5, 6, 30)): about 2^30
+    # complete orientations, but a shortcut shows on a few placed vertices
+    g = make_graph(12, [
+        (0, 1), (0, 4), (0, 6), (0, 7), (0, 8), (0, 10), (0, 11), (1, 6), (1, 8),
+        (2, 3), (2, 4), (2, 5), (2, 8), (2, 11), (3, 5), (3, 7), (3, 8), (3, 9),
+        (3, 11), (4, 6), (4, 9), (5, 6), (5, 8), (5, 9), (6, 7), (6, 8), (6, 9),
+        (8, 9), (8, 11), (9, 10),
+    ])
+    assert g.m == 30
+    assert not exists_semi_transitive_orientation(g, max_edges=30)
+
+
+def test_oracle_on_disconnected_graphs():
+    # each component's first arc is fixed, and a component that fails
+    # decides, also when it is placed after another (the star's hub has the
+    # higher degree)
+    w5_k2 = make_graph(8, list(wheel(5).edges) + [(6, 7)])
+    star_w5 = make_graph(13, [(0, i) for i in range(1, 7)] + [(u + 7, v + 7) for u, v in wheel(5).edges])
+    c5_k1 = make_graph(6, cycle(5).edges)
+    two_c5 = make_graph(10, list(cycle(5).edges) + [(u + 5, v + 5) for u, v in cycle(5).edges])
+    assert not exists_semi_transitive_orientation(w5_k2)
+    assert not exists_semi_transitive_orientation(star_w5)
+    assert exists_semi_transitive_orientation(c5_k1)
+    assert exists_semi_transitive_orientation(two_c5)
+    assert exists_semi_transitive_orientation(make_graph(3, []))
 
 
 def test_oracle_refuses_past_edge_cap():
