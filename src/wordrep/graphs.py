@@ -94,18 +94,7 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, 
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component (vacuously for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    full = (1 << g.n) - 1
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == full
+    return len(connected_components(g)) <= 1
 
 
 def set_adjacency(g: Graph, a: Iterable[int], b: Iterable[int]) -> SetRelation:

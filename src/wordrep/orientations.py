@@ -6,10 +6,12 @@ shortcut is a directed path v1 -> v2 -> ... -> vk (k >= 4) closed by the arc
 v1 -> vk in which some intermediate pair is a non-edge or is oriented
 against the path. Checking one orientation is polynomial: an acyclic one has
 no shortcut iff the vertices on the directed paths of each arc induce a
-transitive orientation (see ``_shortcut_free``). The search for one places
+transitive orientation (see ``_semi_transitive``). The search for one places
 vertices one at a time and drops a branch as soon as the placed vertices
 carry a cycle or a shortcut; it is still exponential in the worst case and is
-guarded by an edge-count cap.
+guarded by an edge-count cap. Every reachability question here, for
+orientations and for the realizer search over linear extensions, is answered
+by one descendant-mask closure (``_closure``).
 """
 
 from __future__ import annotations
@@ -61,26 +63,22 @@ def is_transitive(o: Orientation) -> bool:
     return True
 
 
-def _topological_order(n: int, succ: list[int]) -> list[int] | None:
-    """A topological order of the arc digraph, or None if it has a cycle."""
-    indeg = [0] * n
-    for v in range(n):
-        for w in iter_bits(succ[v]):
-            indeg[w] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in iter_bits(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return order if len(order) == n else None
+def _closure(n: int, succ: list[int]) -> list[int]:
+    """Descendant masks: bit w of entry v is set iff a directed path leads
+    from v to w, so a vertex on a cycle is in its own mask. Warshall (1962)
+    over bitmasks: after round k, every path whose inner vertices lie in
+    0..k is recorded.
+    """
+    desc = list(succ)
+    for k in range(n):
+        bit, dk = 1 << k, desc[k]
+        if dk:
+            desc = [d | dk if d & bit else d for d in desc]
+    return desc
 
 
-def _shortcut_free(n: int, succ: list[int], order: list[int]) -> bool:
-    """True iff an acyclic orientation (``order`` topological) has no shortcut.
+def _semi_transitive(n: int, succ: list[int]) -> bool:
+    """True iff the arc digraph is acyclic and has no shortcut.
 
     The interval of an arc u -> v is u, v and every vertex on a directed
     u-v path: desc[u] & anc[v] | u | v. Lemma: an acyclic orientation has no
@@ -99,18 +97,16 @@ def _shortcut_free(n: int, succ: list[int], order: list[int]) -> bool:
     An arc with fewer than two vertices strictly inside its interval is
     skipped: its interval is {u, v}, or {u, a, v} where the paths u ~> a and
     a ~> v, which stay inside it, are the arcs u -> a and a -> v; both are
-    transitive. The check costs O(m n) mask operations.
+    transitive. The check costs O(m n) mask operations after the O(n^2)
+    closure.
     """
-    desc = [0] * n
-    for v in reversed(order):
-        acc = 0
-        for w in iter_bits(succ[v]):
-            acc |= (1 << w) | desc[w]
-        desc[v] = acc
+    desc = _closure(n, succ)
+    if any(desc[v] >> v & 1 for v in range(n)):
+        return False
     anc = [0] * n
-    for v in order:
-        for w in iter_bits(succ[v]):
-            anc[w] |= anc[v] | (1 << v)
+    for v in range(n):
+        for w in iter_bits(desc[v]):
+            anc[w] |= 1 << v
     for u in range(n):
         for v in iter_bits(succ[u]):
             inner = desc[u] & anc[v]
@@ -125,25 +121,7 @@ def _shortcut_free(n: int, succ: list[int], order: list[int]) -> bool:
 
 def is_semi_transitive(o: Orientation) -> bool:
     """True iff the orientation is acyclic and has no shortcut."""
-    succ = o.succ_masks()
-    order = _topological_order(o.base.n, succ)
-    if order is None:
-        return False
-    return _shortcut_free(o.base.n, succ, order)
-
-
-def _reaches(succ: list[int], a: int, b: int) -> bool:
-    seen = 1 << a
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= succ[v]
-        if nxt >> b & 1:
-            return True
-        frontier = nxt & ~seen
-        seen |= nxt
-    return False
+    return _semi_transitive(o.base.n, o.succ_masks())
 
 
 def exists_semi_transitive_orientation(
@@ -156,9 +134,8 @@ def exists_semi_transitive_orientation(
     placed vertex v tries every direction of its arcs to its placed
     neighbours, given as the set of them that v points to, and a branch is
     cut as soon as the orientation on the placed vertices has a directed
-    cycle or a shortcut, found by ``_topological_order`` and
-    ``_shortcut_free``. Graphs with more than ``max_edges`` edges are
-    refused.
+    cycle or a shortcut, found by ``_semi_transitive``. Graphs with more
+    than ``max_edges`` edges are refused.
 
     Why the cut is exact. Placing a vertex adds arcs at that vertex only: it
     never changes a placed arc, and two placed vertices stay adjacent or
@@ -215,8 +192,7 @@ def exists_semi_transitive_orientation(
         succ[v] = out[i]
         for w in iter_bits(below & ~out[i]):
             succ[w] |= 1 << v
-        order = _topological_order(g.n, succ)
-        if order is not None and _shortcut_free(g.n, succ, order):
+        if _semi_transitive(g.n, succ):
             i += 1
     return True
 
@@ -333,24 +309,16 @@ def _lex_min_topological(m: int, succ: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _intersection_of_orders(m: int, extensions: list[tuple[int, ...]]) -> set[tuple[int, int]]:
-    pos = [{v: i for i, v in enumerate(ext)} for ext in extensions]
-    out = set()
-    for a in range(m):
-        for b in range(m):
-            if a != b and all(p[a] < p[b] for p in pos):
-                out.add((a, b))
-    return out
-
-
 def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None:
     """A smallest family of linear extensions intersecting to the poset.
 
     Searches k = 1, 2, ... up to ``cap``. For each k, every ordered
     incomparable pair must be reversed by some extension; the search assigns
     pairs to extension slots depth-first, keeping each slot's digraph
-    (relation plus its reversed pairs) acyclic. Returns None if the
-    dimension exceeds the cap.
+    (relation plus its reversed pairs) acyclic. Each slot holds the
+    descendant masks of its digraph, so a pair (a, b) can be reversed in a
+    slot iff a does not reach b there. Returns None if the dimension
+    exceeds the cap.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -367,39 +335,48 @@ def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None
                 inc.append((a, b))
                 inc.append((b, a))
 
-    def finish(succs: list[list[int]]) -> list[tuple[int, ...]]:
-        exts = [_lex_min_topological(m, s) for s in succs]
-        got = _intersection_of_orders(m, exts)
-        want = {(idx[a], idx[b]) for a, b in poset.relation}
-        assert got == want, "realizer does not intersect back to the poset"
+    def finish(descs: list[list[int]]) -> list[tuple[int, ...]]:
+        exts = [_lex_min_topological(m, d) for d in descs]
+        got = [-1] * m  # per element: the elements after it in every extension
+        for ext in exts:
+            later = 0
+            for v in reversed(ext):
+                got[v] &= later
+                later |= 1 << v
+        assert got == base_succ, "realizer does not intersect back to the poset"
         return [tuple(elems[v] for v in ext) for ext in exts]
 
+    closed = _closure(m, base_succ)
     if not inc:
-        return finish([list(base_succ)])
+        return finish([closed])
     for k in range(2, cap + 1):
-        succs = [list(base_succ) for _ in range(k)]
+        descs = [list(closed) for _ in range(k)]
         # depth-first over pairs with an explicit stack of (pair index, slot,
-        # slots used before the pair): pair i tries slots c, c + 1, ... of
-        # the first min(used + 1, k), the extra one opening a new slot
-        stack: list[tuple[int, int, int]] = []
+        # slots used before the pair, the slot's masks before the pair): pair
+        # i tries slots c, c + 1, ... of the first min(used + 1, k), the
+        # extra one opening a new slot
+        stack: list[tuple[int, int, int, list[int]]] = []
         i = c = used = 0
         while i < len(inc):
             a, b = inc[i]  # some slot must put b before a
-            while c < min(used + 1, k) and _reaches(succs[c], a, b):
+            while c < min(used + 1, k) and descs[c][a] >> b & 1:
                 c += 1
             if c < min(used + 1, k):
-                succs[c][b] |= 1 << a
-                stack.append((i, c, used))
+                # b and everything reaching b now reach a and a's descendants
+                d = descs[c]
+                add, bit = 1 << a | d[a], 1 << b
+                stack.append((i, c, used, d))
+                descs[c] = [dx | add if dx & bit else dx for dx in d]
+                descs[c][b] |= add
                 i, c, used = i + 1, 0, max(used, c + 1)
             elif stack:
-                i, c, used = stack.pop()
-                a, b = inc[i]
-                succs[c][b] &= ~(1 << a)
+                i, c, used, d = stack.pop()
+                descs[c] = d
                 c += 1
             else:
                 break
         else:
-            return finish(succs)
+            return finish(descs)
     return None
 
 

@@ -74,13 +74,7 @@ def alternation_graph(word: Sequence[int]) -> tuple[Graph, dict[int, int]]:
     n = len(alphabet)
     mapped = [relabel[c] for c in word]
     table = _alternating_pairs(mapped, n)
-    occurring = set(mapped)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if table[u][v] and u in occurring and v in occurring
-    ]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if table[u][v]]
     return make_graph(n, edges), relabel
 
 

@@ -46,6 +46,19 @@ def prism() -> Graph:
     )
 
 
+def two_dimensional_order(seed: int, n: int) -> Graph:
+    """Comparability graph of a seeded random order of dimension at most 2.
+
+    a < b iff a < b as integers and in a seeded shuffle, so the order is the
+    intersection of two linear orders.
+    """
+    rank = list(range(n))
+    random.Random(seed).shuffle(rank)
+    return make_graph(
+        n, [(a, b) for a in range(n) for b in range(a + 1, n) if rank[a] < rank[b]]
+    )
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

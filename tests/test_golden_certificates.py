@@ -17,7 +17,7 @@ from wordrep import (
     substitute_representation,
     word_to_text,
 )
-from helpers import complete, cycle, path_graph, wheel
+from helpers import complete, cycle, path_graph, two_dimensional_order, wheel
 
 W6_WORD = "0 5 3 4 1 6 2 0 1 3 2 5 6 4 0 1 5 6 3 2 4"
 K2_C6_WORD = (
@@ -57,6 +57,39 @@ CASES = {
     "prn-composed-p3-1-k2": (
         lambda: prn_composed(path_graph(3), 1, complete(2)),
         ("1 0 2 3 0 1 2 3", 2, "permutational"),
+    ),
+    "prn-p40": (
+        lambda: prn(path_graph(40)),
+        (
+            "38 39 36 37 34 35 32 33 30 31 28 29 26 27 24 25 22 23 20 21 "
+            "18 19 16 17 14 15 12 13 10 11 8 9 6 7 4 5 2 3 0 1 "
+            "0 2 1 4 3 6 5 8 7 10 9 12 11 14 13 16 15 18 17 20 "
+            "19 22 21 24 23 26 25 28 27 30 29 32 31 34 33 36 35 38 37 39",
+            2,
+            "permutational",
+        ),
+    ),
+    "prn-c10": (
+        lambda: prn(cycle(10)),
+        ("8 6 7 4 5 2 3 0 9 1 0 2 1 4 3 6 5 8 9 7 0 8 9 2 1 4 3 6 5 7", 3, "permutational"),
+    ),
+    "prn-c12": (
+        lambda: prn(cycle(12)),
+        (
+            "10 8 9 6 7 4 5 2 3 0 11 1 0 2 1 4 3 6 5 8 7 10 11 9 "
+            "0 10 11 2 1 4 3 6 5 8 7 9",
+            3,
+            "permutational",
+        ),
+    ),
+    "prn-two-dimensional-order-20": (
+        lambda: prn(two_dimensional_order(0, 20)),
+        (
+            "4 17 7 8 12 10 14 11 16 9 0 6 19 18 3 15 2 5 1 13 "
+            "0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19",
+            2,
+            "permutational",
+        ),
     ),
     "substitute-representation-w6-plan": (
         _w6_plan,

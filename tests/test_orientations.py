@@ -17,7 +17,7 @@ from wordrep import (
     poset_dimension,
     poset_of,
 )
-from wordrep.orientations import Orientation
+from wordrep.orientations import Orientation, Poset
 from helpers import atlas_connected, complete, cycle, path_graph, random_graph, wheel
 from oracles import (
     all_orientations,
@@ -339,3 +339,10 @@ def test_realizer_on_large_antichain_terminates():
     p = make_poset(range(11), [])
     realizer = minimum_realizer(p, cap=4)
     assert realizer is not None and len(realizer) == 2
+
+
+def test_realizer_of_unclosed_relation_is_none():
+    # 0 < 1 < 2 without (0, 2): the pair (0, 2) can be reversed in no slot,
+    # because 0 reaches 2 through 1
+    p = Poset(frozenset(range(5)), frozenset({(0, 1), (1, 2)}))
+    assert minimum_realizer(p) is None
