@@ -309,6 +309,26 @@ def _lex_min_topological(m: int, succ: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cycle_through(v: int, succ: list[int]) -> list[int]:
+    """A shortest directed cycle through v, from v back to v, found by a
+    breadth-first search; v must lie on a cycle."""
+    parent: dict[int, int] = {}
+    queue = [v]
+    for x in queue:
+        for w in iter_bits(succ[x]):
+            if w not in parent:
+                parent[w] = x
+                queue.append(w)
+        if v in parent:
+            break
+    back = []
+    x = parent[v]
+    while x != v:
+        back.append(x)
+        x = parent[x]
+    return [v, *reversed(back), v]
+
+
 def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None:
     """A smallest family of linear extensions intersecting to the poset.
 
@@ -318,7 +338,8 @@ def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None
     (relation plus its reversed pairs) acyclic. Each slot holds the
     descendant masks of its digraph, so a pair (a, b) can be reversed in a
     slot iff a does not reach b there. Returns None if the dimension
-    exceeds the cap.
+    exceeds the cap, and raises ValueError, naming a cycle, if the relation
+    is cyclic.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -347,6 +368,10 @@ def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None
         return [tuple(elems[v] for v in ext) for ext in exts]
 
     closed = _closure(m, base_succ)
+    for v in range(m):
+        if closed[v] >> v & 1:
+            cycle = " -> ".join(str(elems[x]) for x in _cycle_through(v, base_succ))
+            raise ValueError(f"relation is cyclic: {cycle}")
     if not inc:
         return finish([closed])
     for k in range(2, cap + 1):

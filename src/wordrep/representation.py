@@ -9,9 +9,32 @@ unfinishable:
 * after appending c, every neighbor d must have a remaining count equal to
   c's or one more, otherwise their projections cannot interleave;
 * a non-adjacent pair that still alternates must keep some way to collide
-  later, otherwise the word would create an edge that is not in the graph.
+  later, otherwise the word would create an edge that is not in the graph;
+* when a letter c first appears, orient every edge among the letters seen
+  so far from the one that appeared first; if that orientation has a
+  shortcut, the prefix cannot be finished.
 
-All three cuts reject only unfinishable prefixes, so the search remains
+The last cut rests on a lemma (Halldórsson, Kitaev & Pyatkin, *Discrete
+Appl. Math.* 201, 2016; Kitaev & Lozin, *Words and Graphs*, 2015, ch. 4):
+ordering the first occurrences of a k-uniform word that represents G
+orients G semi-transitively. Proof: it is acyclic, since it follows one
+order. Take a path v0 -> v1 -> ... -> vt closed by the arc v0 -> vt. Each
+arc joins alternating letters of which the tail occurs first, so the j-th
+occurrence of v_i comes before the j-th of v_{i+1}, and the j-th of vt
+before the (j+1)-th of v0. Chained, for i < l the j-th v_i precedes the j-th
+v_l, which precedes the j-th vt, the (j+1)-th v0 and so the (j+1)-th v_i.
+Both occur k times, so v_i and v_l alternate: v_i -> v_l is an arc, and the
+path is no shortcut.
+
+The order of first occurrences among the seen letters never changes as the
+word grows, and the new letter c is a sink among them, so only the arcs
+u -> c are new; a path into c cannot leave it, so the intervals of older
+arcs stay as they were. ``anc[c]``, the seen letters with a path to c, is
+written once at c's first occurrence and stays valid until the search
+backtracks past it; each arc u -> c then gets the interval check of
+``orientations._semi_transitive``.
+
+All four cuts reject only unfinishable prefixes, so the search remains
 exhaustive; the test suite checks it against an unpruned enumeration on
 small graphs. One more cut uses symmetry: if no word starts with letter 0,
 the search stops there instead of trying the other first letters. That is
@@ -101,12 +124,38 @@ def representing_words(g: Graph, k: int) -> Iterator[Word]:
     remaining = [k] * n
     pending = [0] * n  # bit d of pending[c]: pair (c,d) last saw c
     violated = [0] * n  # symmetric: non-adjacent pairs that already collided
+    seen = 0  # letters that occur in the prefix
+    anc = [0] * n  # for a seen letter: the seen letters with a path to it
     word: list[int] = []
     total = n * k
     found = False
 
+    def sink_keeps_semi_transitive(c: int) -> bool:
+        # c first appears: its seen neighbours u point to it, and each arc
+        # u -> c must have a transitively oriented interval
+        into = adj[c] & seen
+        reach = 0
+        for u in iter_bits(into):
+            reach |= anc[u] | 1 << u
+        anc[c] = reach
+        for u in iter_bits(into):
+            later = reach & ~anc[u] & ~(1 << u)  # may lie inside u -> c
+            if not later & (later - 1):
+                continue
+            inner = 0
+            for x in iter_bits(later):
+                if anc[x] >> u & 1:
+                    inner |= 1 << x
+            if not inner & (inner - 1):  # fewer than two inner letters
+                continue
+            interval = inner | 1 << u | 1 << c
+            for b in iter_bits(interval):
+                if anc[b] & interval & ~adj[b]:
+                    return False
+        return True
+
     def dfs(pos: int) -> Iterator[Word]:
-        nonlocal found
+        nonlocal found, seen
         if pos == total:
             if all(violated[c] == nonadj[c] for c in range(n)):
                 found = True
@@ -137,7 +186,11 @@ def representing_words(g: Graph, k: int) -> Iterator[Word]:
                         break
                 if not ok:
                     continue
+            first = not seen >> c & 1
+            if first and not sink_keeps_semi_transitive(c):
+                continue
             # apply the append
+            seen |= 1 << c
             remaining[c] = rc
             word.append(c)
             flipped = [d for d in range(n) if pending[d] >> c & 1]
@@ -158,6 +211,8 @@ def representing_words(g: Graph, k: int) -> Iterator[Word]:
                 pending[d] |= 1 << c
             word.pop()
             remaining[c] = rc + 1
+            if first:
+                seen &= ~(1 << c)
 
     return dfs(0)
 

@@ -396,6 +396,16 @@ def test_verify_cap_exceeded_replay_past_replay_cap_exits_2(capsys, tmp_path):
     assert verr.startswith("error: ")
 
 
+def test_verify_replays_a_high_word_cap_report_quickly(capsys, tmp_path):
+    # the replay reruns word search up to the report's cap; on W5 the search
+    # to cap 6 alone took over 10 s before the first-occurrence cut
+    code, out, _ = run(capsys, "repnum", "--cap", "8", FIXTURES / "w5.graph")
+    assert code == 2 and json.loads(out)["status"] == "cap-exceeded"
+    report_path = write_report(tmp_path, out)
+    vcode, vout, _ = run(capsys, "verify", FIXTURES / "w5.graph", report_path)
+    assert vcode == 0 and json.loads(vout)["valid"] is True
+
+
 def test_verify_rejects_wrong_input_digest(capsys, tmp_path):
     code, out, _ = run(capsys, "repnum", FIXTURES / "c6.graph")
     report_path = write_report(tmp_path, out)

@@ -346,3 +346,19 @@ def test_realizer_of_unclosed_relation_is_none():
     # because 0 reaches 2 through 1
     p = Poset(frozenset(range(5)), frozenset({(0, 1), (1, 2)}))
     assert minimum_realizer(p) is None
+
+
+@pytest.mark.parametrize(
+    "relation, cycle_text",
+    [
+        ({(0, 1), (1, 0)}, "0 -> 1 -> 0"),
+        ({(3, 0), (0, 1), (1, 2), (2, 0)}, "0 -> 1 -> 2 -> 0"),
+        ({(4, 2), (2, 4), (0, 1)}, "2 -> 4 -> 2"),
+    ],
+)
+def test_realizer_of_cyclic_relation_names_the_cycle(relation, cycle_text):
+    # it used to fail with "min() arg is an empty sequence" in the sort of
+    # the first extension
+    p = Poset(frozenset(range(5)), frozenset(relation))
+    with pytest.raises(ValueError, match=f"^relation is cyclic: {cycle_text}$"):
+        minimum_realizer(p)

@@ -7,11 +7,13 @@ from wordrep import (
     DomainError,
     Representation,
     SubstitutionPlan,
+    alternation_graph,
     find_transitive_orientation,
     lex_prn,
     lex_product,
     lex_rep_number,
     make_graph,
+    orient,
     prn,
     prn_composed,
     rep_number,
@@ -24,7 +26,12 @@ from wordrep import (
     uniformize,
 )
 from helpers import atlas_connected, complete, cycle, path_graph, random_connected_graph, wheel
-from oracles import brute_rep_number, brute_representing_words, perm_concat_representable
+from oracles import (
+    brute_is_semi_transitive,
+    brute_rep_number,
+    brute_representing_words,
+    perm_concat_representable,
+)
 
 
 def test_representation_validates_on_construction():
@@ -122,6 +129,49 @@ def test_certificate_rotations_represent_and_k_ignores_labels():
             h = make_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
             assert rep_number(h).k == rep.k
     assert [(g.n, g.m) for g in unrepresented] == [(6, 10)]  # W5 alone
+
+
+def test_first_occurrences_of_every_word_orient_semi_transitively():
+    # the lemma behind the first-occurrence cut: orienting each edge from the
+    # letter that occurs first gives a semi-transitive orientation, judged by
+    # the definition
+    for g in atlas_connected(5):
+        orders = {
+            tuple(dict.fromkeys(w)) for k in (2, 3) for w in representing_words(g, k)
+        }
+        for order in orders:
+            rank = {c: i for i, c in enumerate(order)}
+            o = orient(g, [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges])
+            assert brute_is_semi_transitive(o), (g, order)
+
+
+def test_graph_of_a_uniform_word_is_found_at_or_before_the_word():
+    # a k-uniform word represents its own graph, so the search succeeds at
+    # level <= k, and at level k its first word sorts at or before every
+    # rotation of the input that starts with 0. Shuffled words almost never
+    # need k = 3, so relabelled, rotated words of W6 and W8 (R = 3) join them.
+    rng = random.Random(11)
+    words = []
+    for i in range(40):
+        n, k = rng.randint(6, 9), 2 + i % 2
+        w = [c for c in range(n) for _ in range(k)]
+        rng.shuffle(w)
+        words.append((tuple(w), k))
+    for rim, copies in ((6, 4), (8, 2)):
+        base = rep_number(wheel(rim)).word
+        for _ in range(copies):
+            label = rng.sample(range(rim + 1), rim + 1)
+            shift = rng.randrange(len(base))
+            words.append((tuple(label[c] for c in base[shift:] + base[:shift]), 3))
+    found_at_k = {2: 0, 3: 0}
+    for w, k in words:
+        g, _ = alternation_graph(w)
+        rep = rep_number(g, cap=k)
+        assert rep is not None, w
+        if rep.k == k:
+            found_at_k[k] += 1
+            assert rep.word <= min(w[i:] + w[:i] for i, c in enumerate(w) if c == 0), w
+    assert found_at_k[2] and found_at_k[3] == 6
 
 
 def test_word_search_and_oracle_agree_up_to_six_vertices():
