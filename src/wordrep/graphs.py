@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 Edge = tuple[int, int]
 SetRelation = Literal["adjacent", "nonadjacent", "mixed"]
@@ -84,12 +84,13 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, 
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} not in 0..{g.n - 1}")
     relabel = {old: new for new, old in enumerate(vs)}
+    mask = sum(1 << v for v in vs)
     edges = [
         (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u in relabel and v in relabel
+        for u in vs
+        for v in iter_bits(g.adj[u] & mask & ~((2 << u) - 1))
     ]
-    return make_graph(len(vs), edges), relabel
+    return Graph(len(vs), frozenset(edges)), relabel
 
 
 def is_connected(g: Graph) -> bool:
@@ -141,16 +142,20 @@ def complement(g: Graph) -> Graph:
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
-    unseen = (1 << g.n) - 1
+    return mask_components(g.adj)
+
+
+def mask_components(adj: Sequence[int]) -> list[frozenset[int]]:
+    """Components of the graph whose vertex v has neighbour mask ``adj[v]``,
+    as vertex sets ordered by smallest member."""
+    unseen = (1 << len(adj)) - 1
     comps = []
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
+        seen = frontier = unseen & -unseen
         while frontier:
             nxt = 0
             for v in iter_bits(frontier):
-                nxt |= g.adj[v]
+                nxt |= adj[v]
             frontier = nxt & ~seen
             seen |= frontier
         comps.append(frozenset(iter_bits(seen)))

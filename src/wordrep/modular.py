@@ -8,12 +8,11 @@ from typing import Iterable, Sequence
 from .errors import CapExceeded
 from .graphs import (
     Graph,
-    complement,
-    connected_components,
     induced_subgraph,
     is_connected,
     iter_bits,
     make_graph,
+    mask_components,
 )
 
 ALL_MODULES_MAX_N = 15
@@ -57,22 +56,24 @@ def all_modules(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def _modular_closure_mask(g: Graph, mask: int) -> int:
-    """The smallest module containing the vertices of ``mask``.
+def _grow_module(g: Graph, v: int, module: int, y: int, stop: int) -> int:
+    """The smallest module containing ``module | 1 << y``, or 0 once it meets ``stop``.
 
-    Any outside vertex adjacent to part but not all of the current set must
-    belong to every module containing it; absorb such splitters to fixpoint.
+    ``module`` must be a module holding v. An outside vertex splits a set
+    holding v iff it tells v apart from some member, and none tells v apart
+    from a member of ``module``; so only y and the members absorbed after it
+    are compared with v, each once.
     """
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if mask >> v & 1:
-                continue
-            hits = g.adj[v] & mask
-            if hits != 0 and hits != mask:
-                mask |= 1 << v
-                changed = True
+    mask = module | 1 << y
+    new = 1 << y
+    while new:
+        split = 0
+        for w in iter_bits(new):
+            split |= g.adj[v] ^ g.adj[w]
+        new = split & ~mask
+        if new & stop:
+            return 0
+        mask |= new
     return mask
 
 
@@ -117,36 +118,44 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     """The unique partition of a connected graph into maximal strong modules.
 
     Case split on Gallai's structure: if the complement is disconnected, the
-    blocks are the co-components. Otherwise the quotient is prime, so every
-    proper module lies inside one block; the block of the lowest vertex v
-    not yet covered is v plus every y whose smallest module containing v
-    and y is proper, and each such module joins the block at once, so its
-    members need no closure of their own. Prime graphs and complete graphs
-    come out as all-singleton partitions whose quotient is the graph itself.
+    blocks are the co-components. Otherwise the quotient is prime, so the
+    block M(v) of the lowest vertex v not yet covered is a proper module
+    and holds every proper module that holds v; the smallest module holding
+    v and y is therefore inside M(v) when y is in M(v), and is the whole
+    vertex set when it is not. The block grows from {v}: for each later y
+    not yet placed, it becomes the smallest module holding the block and y.
+    The block is a union of proper modules holding v, so it stays inside
+    M(v); when y is in M(v) the closure stays there too, and when y is not
+    the closure is the whole vertex set, so it may stop at the first vertex
+    it absorbs that is known to lie outside M(v): an earlier block's vertex
+    or an earlier such y. Every y ends up in the block or outside it, so
+    the block is M(v) exactly, and at most one closure per block runs to
+    the whole vertex set. Prime graphs and complete graphs come out as
+    all-singleton partitions whose quotient is the graph itself.
     """
     if g.n < 2:
         raise ValueError("maximal modular partition needs at least two vertices")
     if not is_connected(g):
         raise ValueError("maximal modular partition is defined for connected graphs")
-    co_components = connected_components(complement(g))
-    if len(co_components) >= 2:
-        blocks = co_components
-    else:
-        full = (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    blocks = mask_components([full & ~a & ~(1 << v) for v, a in enumerate(g.adj)])
+    if len(blocks) < 2:
         blocks = []
         covered = 0
         for v in range(g.n):
             if covered >> v & 1:
                 continue
             block = 1 << v
+            outside = covered
             for y in range(v + 1, g.n):
-                if not (covered | block) >> y & 1:
-                    closure = _modular_closure_mask(g, 1 << v | 1 << y)
-                    if closure != full:
-                        block |= closure
+                if not (outside | block) >> y & 1:
+                    closure = _grow_module(g, v, block, y, outside)
+                    if closure in (0, full):
+                        outside |= 1 << y
+                    else:
+                        block = closure
             covered |= block
             blocks.append(frozenset(iter_bits(block)))
-    blocks = sorted(blocks, key=min)
     q, block_map = quotient(g, blocks)
     return ModularPartition(g, tuple(blocks), q, block_map)
 

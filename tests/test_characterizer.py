@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wordrep import (
     Caps,
@@ -22,6 +23,7 @@ from wordrep import (
 )
 from wordrep.modular import induced_block_graphs
 from helpers import atlas_connected, complete, cone, cycle, path_graph, prism, random_connected_graph, star, wheel
+from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
 
 def is_wr_status(status):
@@ -361,4 +363,44 @@ def test_large_inputs_decide_without_recursion_error(name):
     verdict = classify(g)
     assert verdict.status == Status.COMPARABILITY
     assert (verdict.r_number, verdict.prn_number) == (r, prn)
+    assert verify(verdict, g)
+
+
+@st.composite
+def connected_graphs(draw, max_n, max_m):
+    # a random spanning tree plus random edges, relabelled; graphs with six
+    # or more vertices may start from W5 instead, so that refutations come up
+    n = draw(st.integers(2, max_n))
+    edges, start = set(), 1
+    if n >= 6 and draw(st.booleans()):
+        edges, start = set(wheel(5).edges), 6
+    edges |= {(draw(st.integers(0, v - 1)), v) for v in range(start, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_m - len(edges))))
+    label = draw(st.permutations(range(n)))
+    return make_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def classify_inputs(draw):
+    # connected, at most 8 vertices and 14 edges; half substitute a piece,
+    # connected or not, for a vertex, so that nontrivial partitions occur
+    if draw(st.booleans()):
+        return draw(connected_graphs(8, 14))
+    base = draw(connected_graphs(5, 8))
+    k = draw(st.integers(2, 9 - base.n))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    inner = make_graph(k, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    g, _, _ = substitute(base, draw(st.integers(0, base.n - 1)), inner)
+    assume(g.m <= 14)
+    return g
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(g=classify_inputs())
+def test_classify_matches_raw_enumeration_on_random_graphs(g):
+    verdict = classify(g)
+    assert is_wr_status(verdict.status) == brute_exists_semi_transitive(g)
+    assert (verdict.status == Status.COMPARABILITY) == brute_has_transitive_orientation(g)
     assert verify(verdict, g)

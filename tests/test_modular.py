@@ -5,6 +5,8 @@ import pytest
 from wordrep import (
     CapExceeded,
     all_modules,
+    complement,
+    connected_components,
     induced_subgraph,
     is_module,
     lex_product,
@@ -19,6 +21,7 @@ from helpers import (
     atlas_connected,
     complete,
     cycle,
+    path_graph,
     random_connected_graph,
     random_graph,
     star,
@@ -123,6 +126,59 @@ def test_partition_matches_enumeration_oracle():
             continue
         p = maximal_modular_partition(g)
         assert sorted(p.blocks, key=min) == brute_strong_maximal_blocks(g)
+
+
+def blow_up(q, pieces, label):
+    """q with vertex i replaced by the graph pieces[i], vertices renamed by
+    ``label``; returns the graph and each piece's vertex set."""
+    first = [sum(p.n for p in pieces[:i]) for i in range(len(pieces))]
+    members = [[label[first[i] + x] for x in range(p.n)] for i, p in enumerate(pieces)]
+    edges = [(members[i][a], members[i][b]) for i, p in enumerate(pieces) for a, b in p.edges]
+    for i, j in q.edges:
+        edges += [(a, b) for a in members[i] for b in members[j]]
+    return make_graph(len(label), edges), [frozenset(m) for m in members]
+
+
+def test_partition_of_large_substitutions_into_prime_quotients():
+    # past all_modules' n <= 15: the pieces of a substitution into a prime
+    # quotient are exactly its maximal strong modules
+    rng = random.Random(46)
+    primes = [q for q in atlas_connected(7, min_n=4) if len(all_modules(q)) == q.n + 1]
+    for _ in range(30):
+        q = rng.choice(primes)
+        pieces = [random_graph(rng, rng.randint(1, 15), rng.random()) for _ in range(q.n)]
+        label = list(range(sum(p.n for p in pieces)))
+        rng.shuffle(label)
+        g, members = blow_up(q, pieces, label)
+        p = maximal_modular_partition(g)
+        order = sorted(range(q.n), key=lambda i: min(members[i]))
+        assert list(p.blocks) == [members[i] for i in order]
+        assert p.quotient == make_graph(
+            q.n, [(order.index(i), order.index(j)) for i, j in q.edges]
+        )
+        assert all(p.block_map[v] == order.index(i) for i, m in enumerate(members) for v in m)
+
+
+def test_partition_of_joins_is_the_co_components():
+    rng = random.Random(47)
+    for _ in range(30):
+        parts = [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(rng.randint(2, 5))]
+        label = list(range(sum(p.n for p in parts)))
+        rng.shuffle(label)
+        g, _ = blow_up(complete(len(parts)), parts, label)
+        blocks = maximal_modular_partition(g).blocks
+        assert list(blocks) == connected_components(complement(g))
+        assert len(blocks) >= len(parts)
+
+
+def test_prime_families_partition_into_singletons():
+    # the complement of a long cycle is the dense prime case
+    families = [cycle(n) for n in range(5, 61)] + [complement(cycle(n)) for n in range(5, 61)]
+    families += [path_graph(n) for n in range(4, 61)]
+    for g in families:
+        p = maximal_modular_partition(g)
+        assert p.blocks == tuple(frozenset({v}) for v in range(g.n))
+        assert p.quotient == g
 
 
 def test_partition_invariant_under_relabeling():
