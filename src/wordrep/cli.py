@@ -6,10 +6,10 @@ and caps the report is byte-stable; pass --timing to add a timing field.
 Exit codes: 0 decided positively (word-representable / comparability /
 computed), 1 negative (not word-representable / not a comparability graph /
 failed verification), 2 no information under the caps (including a verify
-replay past --replay-cap), 64 input error (a missing or malformed graph
-file or report, a graph file that is not ASCII, a report that is not UTF-8,
-an empty or disconnected graph, a bad pivot), 70 internal error (the
-traceback goes to stderr).
+replay past --replay-cap), 64 input error (a usage error or a word cap
+below 1, a missing or malformed graph file or report, a graph file that is
+not ASCII, a report that is not UTF-8, an empty or disconnected graph, a
+bad pivot), 70 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -50,15 +50,38 @@ WORD_CAP_ENV = "WORDREP_WORD_CAP"
 ORACLE_CAP_ENV = "WORDREP_ORACLE_CAP"
 
 
-def _env_default(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
+def _env_default(name: str, fallback: int) -> str:
+    """The option default from the environment, as text, so that argparse
+    checks it with the option's type."""
+    raw = os.environ.get(name, str(fallback))
     try:
-        return int(raw)
+        int(raw)
     except ValueError:
         print(f"warning: ignoring non-integer {name}={raw!r}", file=sys.stderr)
-        return fallback
+        return str(fallback)
+    return raw
+
+
+def _word_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(
+            f"a word cap (flag or {WORD_CAP_ENV}) must be an integer of at least 1,"
+            f" not {text!r}"
+        )
+    return cap
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error: argparse's own code, 2, means "no
+    information under the caps" here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 class InputError(Exception):
@@ -237,7 +260,8 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _certificate(cert, g: Graph) -> Representation | None:
     """A report's certificate rebuilt as a Representation of g, or None if
-    it does not replay (the constructor re-checks the word)."""
+    it does not replay. The constructor is the one check of a report's
+    word: certificate_replays then only matches the target with g."""
     if cert is None:
         return None
     try:
@@ -366,7 +390,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 def _build_parser() -> argparse.ArgumentParser:
     word_cap = _env_default(WORD_CAP_ENV, DEFAULT_WORD_CAP)
     oracle_cap = _env_default(ORACLE_CAP_ENV, DEFAULT_ORACLE_EDGE_CAP)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wordrep",
         description="Word-representability, comparability, and representation "
         "numbers of small graphs, with verifiable certificates.",
@@ -380,20 +404,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide word-representability with certificates")
     p.add_argument("path")
-    p.add_argument("--word-cap", type=int, default=word_cap)
+    p.add_argument("--word-cap", type=_word_cap, default=word_cap)
     p.add_argument("--oracle-cap", type=int, default=oracle_cap)
     add_timing(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("repnum", help="representation number by uniform-word search")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=word_cap)
+    p.add_argument("--cap", type=_word_cap, default=word_cap)
     add_timing(p)
     p.set_defaults(func=cmd_repnum)
 
     p = sub.add_parser("prn", help="permutation-representation number")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=word_cap)
+    p.add_argument("--cap", type=_word_cap, default=word_cap)
     add_timing(p)
     p.set_defaults(func=cmd_prn)
 
@@ -410,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numbers", action="store_true",
                    help="also compute representation numbers and certificates")
     p.add_argument("--out", default=None, help="write the product graph file here")
-    p.add_argument("--word-cap", type=int, default=word_cap)
+    p.add_argument("--word-cap", type=_word_cap, default=word_cap)
     p.add_argument("--oracle-cap", type=int, default=oracle_cap)
     add_timing(p)
     p.set_defaults(func=cmd_product)

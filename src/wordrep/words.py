@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, make_graph
+from .graphs import Graph, iter_bits, make_graph
 
 Word = tuple[int, ...]
 
@@ -44,21 +44,29 @@ def alternate(word: Sequence[int], x: int, y: int) -> bool:
     return all(a != b for a, b in zip(proj, proj[1:]))
 
 
-def _alternating_pairs(word: Sequence[int], n: int) -> list[list[bool]]:
-    """Pairwise alternation table for a word over letters 0..n-1 (single pass)."""
-    alternating = [[True] * n for _ in range(n)]
-    last: list[list[int]] = [[-1] * n for _ in range(n)]
+def _alternation_masks(word: Sequence[int], n: int) -> tuple[int, ...]:
+    """Neighbor bitmasks, as in ``Graph.adj``, of the graph a word over
+    letters 0..n-1 defines.
+
+    Two letters fail to alternate iff one of them occurs twice with no
+    occurrence of the other in between. So x and y alternate iff every gap
+    between consecutive x's holds an odd number of y's and vice versa (an
+    even number is none, or two y's with no x between them), and a gap's
+    parities are the XOR of the count-parity masks at its two ends.
+    """
+    full = (1 << n) - 1
+    parity = 0
+    at_last: list[int | None] = [None] * n  # parity at each letter's last occurrence
+    odd_gaps = [full] * n
     for c in word:
-        last_c = last[c]
-        for d in range(n):
-            if d == c:
-                continue
-            if last_c[d] == c:
-                alternating[c][d] = False
-                alternating[d][c] = False
-            last_c[d] = c
-            last[d][c] = c
-    return alternating
+        if at_last[c] is not None:
+            odd_gaps[c] &= parity ^ at_last[c]
+        at_last[c] = parity
+        parity ^= 1 << c
+    return tuple(
+        sum(1 << v for v in iter_bits(mask & ~(1 << u)) if odd_gaps[v] >> u & 1)
+        for u, mask in enumerate(odd_gaps)
+    )
 
 
 def alternation_graph(word: Sequence[int]) -> tuple[Graph, dict[int, int]]:
@@ -71,11 +79,9 @@ def alternation_graph(word: Sequence[int]) -> tuple[Graph, dict[int, int]]:
         raise ValueError("the empty word defines no graph")
     alphabet = sorted(set(word))
     relabel = {letter: i for i, letter in enumerate(alphabet)}
-    n = len(alphabet)
-    mapped = [relabel[c] for c in word]
-    table = _alternating_pairs(mapped, n)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if table[u][v]]
-    return make_graph(n, edges), relabel
+    masks = _alternation_masks([relabel[c] for c in word], len(alphabet))
+    edges = [(u, v) for u, mask in enumerate(masks) for v in iter_bits(mask) if u < v]
+    return make_graph(len(alphabet), edges), relabel
 
 
 def represents(word: Sequence[int], g: Graph) -> bool:
@@ -88,12 +94,7 @@ def represents(word: Sequence[int], g: Graph) -> bool:
         raise ValueError(
             f"alphabet {sorted(alphabet)} does not match vertex set 0..{g.n - 1}"
         )
-    table = _alternating_pairs(word, g.n)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if table[u][v] != bool(g.adj[u] >> v & 1):
-                return False
-    return True
+    return _alternation_masks(word, g.n) == g.adj
 
 
 def uniformity(word: Sequence[int]) -> UniformityProfile:

@@ -45,6 +45,8 @@ def test_module_comparability_rejects_singleton_partitions():
         module_comparability_test(cycle(5))  # prime
     with pytest.raises(DomainError):
         module_comparability_test(complete(4))  # canonical partition is singletons
+    with pytest.raises(DomainError):
+        module_comparability_test(complete(1))  # K1 is complete too
 
 
 def test_screen_w5_returns_rim():
@@ -242,6 +244,21 @@ def test_verify_rejects_tampered_certificate():
     )
     # certificate for the wrong graph must fail verification
     assert not verify(broken, cycle(6))
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        cycle(6),  # fewer vertices: the word's alphabet does not match
+        make_graph(7, [((u + 3) % 7, (v + 3) % 7) for u, v in wheel(6).edges]),
+    ],
+    ids=["smaller-graph", "relabelled-copy"],
+)
+def test_verify_is_false_for_a_certificate_of_another_graph(other):
+    verdict = classify(wheel(6))
+    assert verify(verdict, wheel(6))
+    assert other != wheel(6)
+    assert verify(verdict, other) is False
 
 
 def test_verify_rejects_wrong_witness():

@@ -574,6 +574,33 @@ def test_env_var_sets_default_cap(capsys, monkeypatch):
     assert code == 0 and report["numbers"]["r"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [
+        (["check", "c6.graph", "--word-cap", "0"], None, 64),
+        (["check", "k2.graph", "--word-cap", "0"], None, 64),
+        (["repnum", "c6.graph", "--cap", "0"], None, 64),
+        (["prn", "c6.graph", "--cap", "0"], None, 64),
+        (["product", "k2.graph", "c6.graph", "--op", "lex", "--numbers",
+          "--word-cap", "0"], None, 64),
+        (["repnum", "c6.graph"], "0", 64),
+        (["check", "c6.graph", "--word-cap", "x"], None, 64),
+        (["check"], None, 64),
+        (["check", "--help"], None, 0),
+    ],
+    ids=["check", "check-k2", "repnum", "prn", "product", "env", "not-int",
+         "no-path", "help"],
+)
+def test_bad_caps_and_usage_errors_exit_64(capsys, monkeypatch, argv, env, code):
+    if env is not None:
+        monkeypatch.setenv("WORDREP_WORD_CAP", env)
+    argv = [str(FIXTURES / a) if a.endswith(".graph") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_reports_echo_effective_caps(capsys):
     _, report = report_of(capsys, "check", FIXTURES / "k2.graph")
     assert report["caps"] == {"word_cap": 4, "oracle_edge_cap": 24}

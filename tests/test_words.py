@@ -1,13 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wordrep import (
     alternate,
     alternation_graph,
     concat_permutations,
     induced_subgraph,
+    make_graph,
     project,
     represents,
     uniformity,
@@ -150,3 +152,30 @@ def test_hereditary_under_projection(w):
         sub, sub_relabel = induced_subgraph(g, subset)
         proj = tuple(sub_relabel[c] for c in project(mapped, subset))
         assert represents(proj, sub)
+
+
+@st.composite
+def words_with_single_letters(draw):
+    """Non-uniform words over 0..6 with some of the letters 7..9 placed once."""
+    word = draw(st.lists(st.integers(0, 6), min_size=1, max_size=18))
+    for letter in sorted(draw(st.sets(st.integers(7, 9)))):
+        word.insert(draw(st.integers(0, len(word))), letter)
+    return tuple(word)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(words_with_single_letters())
+def test_alternation_graph_matches_pairwise_alternate(w):
+    # alternate() works on two-letter projections and shares no code with
+    # the mask pass behind alternation_graph() and represents()
+    g, relabel = alternation_graph(w)
+    letters = sorted(relabel)
+    assert g.edges == {
+        (relabel[x], relabel[y])
+        for x, y in combinations(letters, 2)
+        if alternate(w, x, y)
+    }
+    mapped = tuple(relabel[c] for c in w)
+    assert represents(mapped, g)
+    for pair in combinations(range(g.n), 2):
+        assert not represents(mapped, make_graph(g.n, g.edges ^ {pair}))
