@@ -47,6 +47,7 @@ from .orientations import (
 from .representation import (
     Representation,
     SubstitutionPlan,
+    exists_word,
     lex_prn,
     lex_rep_number,
     prn,

@@ -10,9 +10,10 @@ non-word-representability. By Gallai's theorem the quotient of a connected
 graph is complete or prime, so it is decided directly and only the top
 level of the modular decomposition tree is ever computed. Complete graphs
 get the identity word. Prime graphs get transitive orientation first, then
-the semi-transitive oracle when there is none, then bounded word search;
-when caps prevent a decision the verdict honestly reduces to the undecided
-quotient.
+the semi-transitive oracle when there is none, then bounded word search; a
+comparability graph gets its prn before word search, which then needs to go
+no higher than prn, since R <= prn. When caps prevent a decision the
+verdict honestly reduces to the undecided quotient.
 """
 
 from __future__ import annotations
@@ -165,11 +166,14 @@ def _classify_prime(g: Graph, caps: Caps) -> Verdict:
         and not exists_semi_transitive_orientation(g, caps.oracle_edge_cap)
     ):
         return Verdict(Status.NOT_WORD_REPRESENTABLE, caps, witness=None)
-    word_rep = rep_number(g, caps.word_cap)
     perm_rep = prn_of_orientation(o, caps.word_cap) if o is not None else None
-    if word_rep is None or (o is not None and perm_rep is None):
-        # no word (or, for a comparability graph, no permutations) within
-        # the word cap
+    if o is not None and perm_rep is None:
+        # a comparability graph with no permutations within the word cap
+        return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=g)
+    # R <= prn, so a comparability graph has a word by level prn
+    word_rep = rep_number(g, perm_rep.k if perm_rep is not None else caps.word_cap)
+    if word_rep is None:
+        # no word within the word cap
         return Verdict(Status.REDUCED_TO_QUOTIENT, caps, quotient_ref=g)
     return Verdict(
         Status.WORD_REPRESENTABLE if o is None else Status.COMPARABILITY,

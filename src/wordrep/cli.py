@@ -6,10 +6,11 @@ and caps the report is byte-stable; pass --timing to add a timing field.
 Exit codes: 0 decided positively (word-representable / comparability /
 computed), 1 negative (not word-representable / not a comparability graph /
 failed verification), 2 no information under the caps (including a verify
-replay past --replay-cap), 64 input error (a usage error or a word cap
-below 1, a missing or malformed graph file or report, a graph file that is
-not ASCII, a report that is not UTF-8, an empty or disconnected graph, a
-bad pivot), 70 internal error (the traceback goes to stderr).
+replay past --replay-cap), 64 input error (a usage error, a word cap
+below 1 or an edge cap below 0, a missing or malformed graph file or
+report, a graph file that is not ASCII, a report that is not UTF-8, an
+empty or disconnected graph, a bad pivot), 70 internal error (the traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -62,17 +63,26 @@ def _env_default(name: str, fallback: int) -> str:
     return raw
 
 
-def _word_cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise argparse.ArgumentTypeError(
-            f"a word cap (flag or {WORD_CAP_ENV}) must be an integer of at least 1,"
-            f" not {text!r}"
-        )
-    return cap
+def _cap_type(what: str, env: str, least: int):
+    """An argparse type for a cap: an integer of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            cap = int(text)
+        except ValueError:
+            cap = least - 1
+        if cap < least:
+            raise argparse.ArgumentTypeError(
+                f"{what} (flag or {env}) must be an integer of at least {least},"
+                f" not {text!r}"
+            )
+        return cap
+
+    return parse
+
+
+_word_cap = _cap_type("a word cap", WORD_CAP_ENV, 1)
+_edge_cap = _cap_type("an edge cap", ORACLE_CAP_ENV, 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -405,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide word-representability with certificates")
     p.add_argument("path")
     p.add_argument("--word-cap", type=_word_cap, default=word_cap)
-    p.add_argument("--oracle-cap", type=int, default=oracle_cap)
+    p.add_argument("--oracle-cap", type=_edge_cap, default=oracle_cap)
     add_timing(p)
     p.set_defaults(func=cmd_check)
 
@@ -435,14 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also compute representation numbers and certificates")
     p.add_argument("--out", default=None, help="write the product graph file here")
     p.add_argument("--word-cap", type=_word_cap, default=word_cap)
-    p.add_argument("--oracle-cap", type=int, default=oracle_cap)
+    p.add_argument("--oracle-cap", type=_edge_cap, default=oracle_cap)
     add_timing(p)
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("verify", help="replay a report's certificates against a graph")
     p.add_argument("path")
     p.add_argument("report")
-    p.add_argument("--replay-cap", type=int, default=oracle_cap)
+    p.add_argument("--replay-cap", type=_edge_cap, default=oracle_cap)
     p.set_defaults(func=cmd_verify, timing=False)
 
     return parser

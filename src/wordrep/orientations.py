@@ -124,18 +124,39 @@ def is_semi_transitive(o: Orientation) -> bool:
     return _semi_transitive(o.base.n, o.succ_masks())
 
 
+def placement_order(g: Graph) -> list[tuple[int, int]]:
+    """Every vertex once, each with the mask of its neighbours placed before
+    it: next comes the vertex with the most placed neighbours, ties broken by
+    higher degree, then lower label. So a vertex with no placed neighbour
+    starts a component, and the rest of that component follows it."""
+    n, adj = g.n, g.adj
+    # placed neighbours * n^2 + degree * n + (n - 1 - label): the three keys
+    # in order, since the last two stay below n^2 together
+    rank = [adj[v].bit_count() * n + n - 1 - v for v in range(n)]
+    left = list(range(n))
+    steps = []
+    placed = 0
+    for _ in range(n):
+        v = max(left, key=rank.__getitem__)
+        left.remove(v)
+        steps.append((v, adj[v] & placed))
+        placed |= 1 << v
+        for w in iter_bits(adj[v]):
+            rank[w] += n * n
+    return steps
+
+
 def exists_semi_transitive_orientation(
     g: Graph, max_edges: int = DEFAULT_ORACLE_EDGE_CAP
 ) -> bool:
     """Decide word-representability by a search over orientations.
 
-    Vertices are placed one at a time: next comes the vertex with the most
-    placed neighbours, ties broken by higher degree, then lower label. A
-    placed vertex v tries every direction of its arcs to its placed
-    neighbours, given as the set of them that v points to, and a branch is
-    cut as soon as the orientation on the placed vertices has a directed
-    cycle or a shortcut, found by ``_semi_transitive``. Graphs with more
-    than ``max_edges`` edges are refused.
+    Vertices are placed one at a time in ``placement_order``. A placed
+    vertex v tries every direction of its arcs to its placed neighbours,
+    given as the set of them that v points to, and a branch is cut as soon
+    as the orientation on the placed vertices has a directed cycle or a
+    shortcut, found by ``_semi_transitive``. Graphs with more than
+    ``max_edges`` edges are refused.
 
     Why the cut is exact. Placing a vertex adds arcs at that vertex only: it
     never changes a placed arc, and two placed vertices stay adjacent or
@@ -159,15 +180,7 @@ def exists_semi_transitive_orientation(
         raise CapExceeded(
             f"{g.m} edges exceed the orientation-enumeration cap {max_edges}"
         )
-    steps = []  # (vertex, mask of its neighbours placed before it)
-    placed = 0
-    for _ in range(g.n):
-        v = max(
-            (v for v in range(g.n) if not placed >> v & 1),
-            key=lambda v: ((g.adj[v] & placed).bit_count(), g.adj[v].bit_count(), -v),
-        )
-        steps.append((v, g.adj[v] & placed))
-        placed |= 1 << v
+    steps = placement_order(g)
     succ = [0] * g.n
     out = [-1] * g.n  # per step: the placed neighbours v points to, -1 untried
     i = 0

@@ -1,8 +1,48 @@
 """Representation numbers, permutation representations, and composed certificates.
 
-``rep_number`` does exhaustive search over k-uniform words for k = 1, 2, ...
-The search appends one letter at a time and cuts a branch as soon as it is
-unfinishable:
+``rep_number`` finds the least k <= cap with a k-uniform representing word.
+Each level from 2 to cap - 1 is decided by ``exists_word``, which inserts
+one vertex at a time into a cyclic word; the first level that has a word,
+and level 1 and the cap level, are searched by ``representing_words``, which
+appends one letter at a time and yields the words in lexicographic order,
+so the certificate is the first word of the least level.
+
+Deciding a level by insertion rests on two facts (Halldórsson, Kitaev &
+Pyatkin, *Discrete Appl. Math.* 201, 2016; Kitaev & Lozin, *Words and
+Graphs*, 2015, ch. 4). Heredity: deleting letters does not change whether
+two of the others alternate, so the restriction of a word representing G
+to a vertex set S represents G[S]. Cycles: two letters x and y that occur k
+times each alternate iff each of the k stretches between cyclically
+consecutive copies of x holds exactly one y. So alternation depends on the
+cyclic word only, and every rotation and the reversal of a uniform word
+represent the same graph.
+
+``exists_word`` places v1, ..., vn in ``orientations.placement_order`` and
+keeps a cyclic word on the placed vertices. v_i gets k copies: every stretch
+between consecutive copies must hold one copy of each placed neighbour, and
+some stretch must hold zero copies or at least two of each placed
+non-neighbour. Sound: an insertion leaves the restriction to the placed
+vertices as it was, so every pair keeps the alternation it was checked for
+when its later vertex came in, and a finished word represents G. Complete:
+if a word w represents G, its restriction to v1..vi, read cyclically, passes
+the checks by heredity, and it is the restriction to v1..v(i-1) with v_i's
+copies inserted; so a search that tries every placement reaches w up to
+rotation, and a branch whose next vertex has no placement has no
+completion. Three cuts keep it exact:
+
+* v's lowest copy goes no later than the second copy of any placed
+  neighbour u, since the stretch between u's first two copies holds one;
+* a branch is dropped as soon as a vertex still to come that has two or
+  more placed neighbours has no placement in the word, since by heredity a
+  completion would restrict to one (checking the other vertices too found
+  a word on the 7-vertex atlas graphs at about 1.7x the cost);
+* sibling words that are rotations or reflections of one another have the
+  same completions up to that symmetry, so one of them is tried. A rotation
+  other than the identity, or a reflection, that fixes a grown word
+  restricts to one that fixes the word it grew from, so once a word has no
+  such symmetry, none of its descendants has one, and the check stops.
+
+``representing_words`` cuts a branch as soon as it is unfinishable:
 
 * appending a letter that doubles up against an adjacent letter is illegal
   (adjacent pairs must alternate to the end);
@@ -63,6 +103,7 @@ from .orientations import (
     exists_semi_transitive_orientation,
     find_transitive_orientation,
     minimum_realizer,
+    placement_order,
     poset_of,
 )
 from .words import Word, concat_permutations, represents, uniformity
@@ -217,8 +258,119 @@ def representing_words(g: Graph, k: int) -> Iterator[Word]:
     return dfs(0)
 
 
+def _placements(word: Sequence[int], k: int, near: int, far: int) -> Iterator[list[int]]:
+    """Every way to add k copies of a new letter to the cyclic ``word``, as
+    the gaps they go into (copy j goes right before ``word[gaps[j]]``, and
+    the gap after the last letter is gap 0): every stretch between
+    consecutive copies holds one copy of each letter in ``near``, and each
+    letter in ``far`` misses that in some stretch. The last stretch holds
+    what the others leave, so it is implied and not scanned."""
+    size = len(word)
+    gaps = [0] * k
+
+    def place(j: int, broken: int) -> Iterator[list[int]]:
+        # copies 0..j-1 are placed; broken: far letters that some stretch
+        # between them does not hold exactly once
+        if j == k:
+            if not far & ~broken:
+                yield gaps
+            return
+        start = gaps[j - 1]
+        once = twice = 0
+        for b in range(start, size):
+            if b > start:
+                twice |= once & 1 << word[b - 1]
+                once |= 1 << word[b - 1]
+                if twice & near:  # a neighbour twice: no later gap works
+                    return
+            if once & near == near:
+                gaps[j] = b
+                yield from place(j + 1, broken | far & (~once | twice))
+
+    # the lowest copy goes no later than the second copy of any neighbour
+    bound = size
+    seen = 0
+    for p, c in enumerate(word):
+        if near >> c & 1:
+            if seen >> c & 1:
+                bound = p + 1
+                break
+            seen |= 1 << c
+    for first in range(bound):
+        gaps[0] = first
+        yield from place(1, 0)
+
+
+def _turns(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every rotation of the word and of its reversal."""
+    back = word[::-1]
+    return [w[i:] + w[:i] for w in (word, back) for i in range(len(word))]
+
+
+def exists_word(g: Graph, k: int) -> bool:
+    """True iff some k-uniform word represents g.
+
+    Builds a cyclic word one vertex at a time in ``placement_order``: each
+    new vertex gets k copies (``_placements``), and a branch is dropped as
+    soon as a vertex still to come, with two or more placed neighbours, has
+    no placement. Sibling words that are rotations or reflections of each
+    other are tried once. See the module docstring for why this is exact.
+    """
+    n = g.n
+    if n < 1:
+        raise ValueError("representation search needs at least one vertex")
+    if k < 1:
+        raise ValueError(f"uniformity must be >= 1, got {k}")
+    steps = placement_order(g)
+    adj = g.adj
+
+    def extend(i: int, word: tuple[int, ...], placed: int, symmetric: bool) -> bool:
+        if i == n:
+            return True
+        for w, _ in steps[i + 1 :]:
+            near = adj[w] & placed
+            if not near & (near - 1):
+                continue  # fewer than two placed neighbours: not checked
+            if next(_placements(word, k, near, placed & ~near), None) is None:
+                return False
+        v, near = steps[i]
+        tried = set()
+        for gaps in _placements(word, k, near, placed & ~near):
+            grown: list[int] = []
+            done = 0
+            for q in gaps:
+                grown += word[done:q]
+                grown.append(v)
+                done = q
+            grown_word = (*grown, *word[done:])
+            child_symmetric = False
+            if symmetric:
+                turns = _turns(grown_word)
+                key = min(turns)
+                if key in tried:
+                    continue
+                tried.add(key)
+                child_symmetric = len(set(turns)) < len(turns)
+            if extend(i + 1, grown_word, placed | 1 << v, child_symmetric):
+                return True
+        return False
+
+    first, _ = steps[0]
+    return extend(1, (first,) * k, 1 << first, True)
+
+
 def rep_number(g: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
     """The minimal k <= cap with a k-uniform representing word, as a certificate.
+
+    Each level from 2 to cap - 1 is decided by ``exists_word``, and
+    ``representing_words`` runs at the first level with a word, for the
+    lexicographically first one. Level 1 (only complete graphs have a
+    1-uniform word, and the letter search refutes any other graph within a
+    few letters) and the cap level, whose answer is final either way, are
+    searched by letters directly. Once level 2 is refuted, a graph within the oracle's
+    edge cap and with no semi-transitive orientation has no word at any
+    level. The oracle says so at once, while the decider's refutations grow
+    steeply with k on such graphs (W7: 0.07 s at level 3, 18 s at level 4).
 
     None means no representation within the cap; that never asserts
     non-word-representability (the orientation oracle decides that).
@@ -226,6 +378,14 @@ def rep_number(g: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     for k in range(1, cap + 1):
+        if 1 < k < cap and not exists_word(g, k):
+            if (
+                k == 2
+                and g.m <= DEFAULT_ORACLE_EDGE_CAP
+                and not exists_semi_transitive_orientation(g)
+            ):
+                return None
+            continue
         found = next(representing_words(g, k), None)
         if found is not None:
             return Representation(found, k, GENERAL, g)

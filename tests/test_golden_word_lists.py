@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from wordrep import make_graph, rep_number, representing_words, word_to_text
+from wordrep import exists_word, make_graph, rep_number, representing_words, word_to_text
 from helpers import atlas_connected
 
 GOLDEN = Path(__file__).parent / "golden_word_lists.json"
@@ -66,6 +66,15 @@ def test_certificate_of_the_n10_prime_graph_is_pinned():
     assert (word_to_text(rep.word), rep.k, rep.mode) == (N10_WORD, 3, "general")
     # a few seconds with the cut; a weakened cut stays exact but takes minutes
     assert elapsed < 60
+
+
+def test_decider_refutes_level_two_of_the_n10_prime_graph():
+    # letter search took seconds to refute this level; insertion takes ms
+    g = make_graph(10, [(int(e[0]), int(e[1])) for e in N10_EDGES.split()])
+    started = time.perf_counter()
+    assert not exists_word(g, 2)
+    assert exists_word(g, 3)
+    assert time.perf_counter() - started < 10
 
 
 if __name__ == "__main__":

@@ -601,6 +601,38 @@ def test_bad_caps_and_usage_errors_exit_64(capsys, monkeypatch, argv, env, code)
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["check", "w5.graph", "--oracle-cap", "-1"], None),
+        (["product", "k2.graph", "c6.graph", "--op", "lex", "--numbers",
+          "--oracle-cap", "-1"], None),
+        (["verify", "w5.graph", "w5.graph", "--replay-cap", "-1"], None),
+        (["check", "w5.graph"], "-3"),
+        (["check", "w5.graph", "--oracle-cap", "many"], None),
+    ],
+    ids=["check", "product", "verify", "env", "not-int"],
+)
+def test_negative_edge_caps_exit_64(capsys, monkeypatch, argv, env):
+    # a negative oracle or replay cap used to be echoed in the report, or to
+    # make a replay exit 2 as if the cap had been reached
+    if env is not None:
+        monkeypatch.setenv("WORDREP_ORACLE_CAP", env)
+    argv = [str(FIXTURES / a) if a.endswith(".graph") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "edge cap" in capsys.readouterr().err
+
+
+def test_zero_edge_cap_is_a_cap(capsys):
+    # C5 is prime and no comparability graph: word search decides it when
+    # the oracle may not run
+    code, report = report_of(capsys, "check", FIXTURES / "c5.graph", "--oracle-cap", "0")
+    assert report["caps"]["oracle_edge_cap"] == 0
+    assert code == 0 and report["status"] == "word-representable"
+
+
 def test_reports_echo_effective_caps(capsys):
     _, report = report_of(capsys, "check", FIXTURES / "k2.graph")
     assert report["caps"] == {"word_cap": 4, "oracle_edge_cap": 24}

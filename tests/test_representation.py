@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from wordrep import (
     Representation,
     SubstitutionPlan,
     alternation_graph,
+    exists_word,
     find_transitive_orientation,
     lex_prn,
     lex_product,
@@ -183,6 +185,54 @@ def test_word_search_and_oracle_agree_up_to_six_vertices():
     for g in atlas_connected(6):
         by_words = rep_number(g, cap=3) is not None
         assert by_words == exists_semi_transitive_orientation(g)
+
+
+def test_decider_equals_letter_search_up_to_six_vertices():
+    # every connected graph with at most 6 vertices, W5 (no word at any
+    # level) included, at every level the letter search can settle quickly
+    for g in atlas_connected(6):
+        for k in (1, 2, 3):
+            assert exists_word(g, k) == (next(representing_words(g, k), None) is not None), (
+                sorted(g.edges), k
+            )
+
+
+def test_decider_accepts_random_uniform_words():
+    # a k-uniform word represents its own graph, so the decider must find a
+    # word at its k; shuffled words are sparse, so concatenated permutations
+    # with a few adjacent swaps add dense graphs
+    rng = random.Random(13)
+    for n in range(8, 13):
+        for k in (2, 3):
+            for dense in (False, True):
+                if dense:
+                    w = [c for _ in range(k) for c in rng.sample(range(n), n)]
+                    for _ in range(n):
+                        i = rng.randrange(len(w) - 1)
+                        w[i], w[i + 1] = w[i + 1], w[i]
+                else:
+                    w = [c for c in range(n) for _ in range(k)]
+                    rng.shuffle(w)
+                g, _ = alternation_graph(tuple(w))
+                assert exists_word(g, k), w
+
+
+def test_decider_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        exists_word(complete(2), 0)
+    with pytest.raises(ValueError):
+        exists_word(make_graph(0, []), 2)
+
+
+def test_rep_number_refutes_wheels_at_a_high_cap_quickly():
+    # levels 2..7 of a graph with no word: the oracle ends the search after
+    # level 2, where an insertion search would list every word of the graph
+    # before its last vertex, at every level
+    w5_pendant = make_graph(7, sorted(wheel(5).edges) + [(1, 6)])
+    for g in (wheel(5), wheel(7), w5_pendant):
+        started = time.perf_counter()
+        assert rep_number(g, cap=8) is None
+        assert time.perf_counter() - started < 10, (g.n, g.m)
 
 
 def test_prn_k_n_is_one():
