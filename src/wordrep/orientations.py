@@ -385,9 +385,7 @@ def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None
         if closed[v] >> v & 1:
             cycle = " -> ".join(str(elems[x]) for x in _cycle_through(v, base_succ))
             raise ValueError(f"relation is cyclic: {cycle}")
-    if not inc:
-        return finish([closed])
-    for k in range(2, cap + 1):
+    for k in range(1, cap + 1):
         descs = [list(closed) for _ in range(k)]
         # depth-first over pairs with an explicit stack of (pair index, slot,
         # slots used before the pair, the slot's masks before the pair): pair

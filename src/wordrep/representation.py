@@ -46,13 +46,19 @@ completion. Three cuts keep it exact:
 
 * appending a letter that doubles up against an adjacent letter is illegal
   (adjacent pairs must alternate to the end);
-* after appending c, every neighbor d must have a remaining count equal to
-  c's or one more, otherwise their projections cannot interleave;
 * a non-adjacent pair that still alternates must keep some way to collide
   later, otherwise the word would create an edge that is not in the graph;
 * when a letter c first appears, orient every edge among the letters seen
   so far from the one that appeared first; if that orientation has a
   shortcut, the prefix cannot be finished.
+
+Two checks follow from these cuts and are not made. Counts stay balanced:
+by the first cut every prefix alternates on every edge and ends with the
+letter just appended, so each neighbour of c has c's remaining count or
+one more. A finished word has every non-adjacent pair collided: when the
+first letter of such a pair runs out, the second cut has left either a
+collision already or two copies of the other letter, with none of the
+first between them.
 
 The last cut rests on a lemma (Halldórsson, Kitaev & Pyatkin, *Discrete
 Appl. Math.* 201, 2016; Kitaev & Lozin, *Words and Graphs*, 2015, ch. 4):
@@ -74,7 +80,7 @@ written once at c's first occurrence and stays valid until the search
 backtracks past it; each arc u -> c then gets the interval check of
 ``orientations._semi_transitive``.
 
-All four cuts reject only unfinishable prefixes, so the search remains
+All three cuts reject only unfinishable prefixes, so the search remains
 exhaustive; the test suite checks it against an unpruned enumeration on
 small graphs. One more cut uses symmetry: if no word starts with letter 0,
 the search stops there instead of trying the other first letters. That is
@@ -181,8 +187,6 @@ def representing_words(g: Graph, k: int) -> Iterator[Word]:
         anc[c] = reach
         for u in iter_bits(into):
             later = reach & ~anc[u] & ~(1 << u)  # may lie inside u -> c
-            if not later & (later - 1):
-                continue
             inner = 0
             for x in iter_bits(later):
                 if anc[x] >> u & 1:
@@ -198,9 +202,8 @@ def representing_words(g: Graph, k: int) -> Iterator[Word]:
     def dfs(pos: int) -> Iterator[Word]:
         nonlocal found, seen
         if pos == total:
-            if all(violated[c] == nonadj[c] for c in range(n)):
-                found = True
-                yield tuple(word)
+            found = True
+            yield tuple(word)
             return
         for c in range(n):
             if not pos and c and not found:
@@ -211,21 +214,10 @@ def representing_words(g: Graph, k: int) -> Iterator[Word]:
             dead = pending[c]
             if dead & adj[c]:
                 continue
-            ok = True
-            for d in iter_bits(adj[c]):
-                if not rc <= remaining[d] <= rc + 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
             newly = dead & nonadj[c] & ~violated[c]
             if rc == 0:
                 alive = nonadj[c] & ~violated[c] & ~newly
-                for d in iter_bits(alive):
-                    if remaining[d] < 2:
-                        ok = False
-                        break
-                if not ok:
+                if any(remaining[d] < 2 for d in iter_bits(alive)):
                     continue
             first = not seen >> c & 1
             if first and not sink_keeps_semi_transitive(c):

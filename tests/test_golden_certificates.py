@@ -103,3 +103,17 @@ def test_certificate_word_is_pinned(name):
     build, expected = CASES[name]
     rep = build()
     assert (word_to_text(rep.word), rep.k, rep.mode) == expected
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (7, "0 1 6 0 5 6 4 5 3 4 2 3 1 2"),
+        (9, "0 1 8 0 7 8 6 7 5 6 4 5 3 4 2 3 1 2"),
+    ],
+)
+def test_odd_cycle_rep_number_certificate_is_pinned(n, expected):
+    # the word lists in golden_word_lists.json stop at 5 vertices; these
+    # pin the letter search on level-2 searches over 7 and 9 letters
+    rep = rep_number(cycle(n))
+    assert (word_to_text(rep.word), rep.k, rep.mode) == (expected, 2, "general")
