@@ -243,18 +243,6 @@ def classify(g: Graph, caps: Caps = Caps()) -> Verdict:
     )
 
 
-def _reduction_target(g: Graph) -> Graph:
-    """The graph a reduced verdict for g must name: g itself when g is
-    complete or a block of its maximal modular partition is not a
-    comparability graph, else the quotient (g itself when g is prime)."""
-    if _is_complete(g):
-        return g
-    partition = maximal_modular_partition(g)
-    if _is_prime(partition) or _first_failing_block(partition) is None:
-        return partition.quotient
-    return g
-
-
 def certificate_replays(
     cert: Representation | None, g: Graph, claimed_k: int | None,
     permutational: bool = False,
@@ -270,18 +258,33 @@ def certificate_replays(
     )
 
 
+def _numbers_compose(verdict: Verdict) -> bool:
+    """r is the max of the quotient's R and the block prns, as ``compose``
+    builds it, and prn is at least each block prn; other verdicts name no parts."""
+    if not verdict.block_prns or verdict.quotient_r is None:
+        return verdict.block_prns is None and verdict.quotient_r is None
+    top = max(verdict.block_prns)
+    return verdict.r_number == max(verdict.quotient_r, top) and (
+        verdict.prn_number is None or verdict.prn_number >= top
+    )
+
+
 def verify(
     verdict: Verdict, g: Graph, replay_edge_cap: int = DEFAULT_ORACLE_EDGE_CAP
 ) -> bool:
     """Replay a verdict's certificate against the graph it was issued for.
 
-    A word certificate, checked once when it was built, must target g; a
+    A word certificate, checked once when it was built, must target g, and
+    a composed verdict's numbers must follow from its parts'; a
     non-word-representability witness is re-checked to be a nontrivial
     module whose induced subgraph admits no transitive orientation; a
-    reduced verdict must name the quotient the pipeline actually reaches.
+    reduced verdict must name g's quotient, where g is connected, not
+    complete, and has only comparability blocks: classify decides the rest.
     Replays past the edge cap raise CapExceeded rather than guessing.
     """
     if verdict.status in (Status.WORD_REPRESENTABLE, Status.COMPARABILITY):
+        if not _numbers_compose(verdict):
+            return False
         return certificate_replays(verdict.certificate, g, verdict.r_number) and (
             verdict.status != Status.COMPARABILITY
             or certificate_replays(
@@ -291,11 +294,7 @@ def verify(
     if verdict.status == Status.NOT_WORD_REPRESENTABLE:
         if verdict.witness is not None:
             w = verdict.witness
-            if not (2 <= len(w) < g.n):
-                return False
-            if not all(0 <= v < g.n for v in w):
-                return False
-            if not is_module(g, w):
+            if not (2 <= len(w) < g.n and all(0 <= v < g.n for v in w) and is_module(g, w)):
                 return False
             sub, _ = induced_subgraph(g, w)
             if sub.m > replay_edge_cap:
@@ -308,7 +307,8 @@ def verify(
                 f"oracle replay: {g.m} edges exceed cap {replay_edge_cap}"
             )
         return not exists_semi_transitive_orientation(g, replay_edge_cap)
-    if verdict.status == Status.REDUCED_TO_QUOTIENT:
-        # the pipeline reaches no quotient of a disconnected graph
-        return is_connected(g) and _reduction_target(g) == verdict.quotient_ref
-    return False
+    # reduced to the quotient
+    if not is_connected(g) or _is_complete(g):
+        return False
+    partition = maximal_modular_partition(g)
+    return partition.quotient == verdict.quotient_ref and _first_failing_block(partition) is None

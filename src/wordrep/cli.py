@@ -300,8 +300,9 @@ def _check_verdict(report: dict, numbers: dict, g: Graph) -> Verdict:
     report is malformed.
     """
     witness = _field(report, "witness", list)
-    if witness is not None and not all(isinstance(v, int) for v in witness):
-        raise TypeError("'witness' must list vertex numbers")
+    block_prns = _field(numbers, "block_prns", list)
+    if not all(isinstance(v, int) for v in (*(witness or ()), *(block_prns or ()))):
+        raise TypeError("'witness' and 'block_prns' must list integers")
     q = report.get("quotient")
     return Verdict(
         Status(report["status"]),
@@ -309,8 +310,10 @@ def _check_verdict(report: dict, numbers: dict, g: Graph) -> Verdict:
         witness=frozenset(witness) if witness is not None else None,
         certificate=_certificate(report.get("certificate"), g),
         perm_certificate=_certificate(report.get("perm_certificate"), g),
-        r_number=numbers.get("r"),
-        prn_number=numbers.get("prn"),
+        r_number=_field(numbers, "r", int),
+        prn_number=_field(numbers, "prn", int),
+        block_prns=tuple(block_prns) if block_prns is not None else None,
+        quotient_r=_field(numbers, "quotient_r", int),
         quotient_ref=make_graph(q["n"], [tuple(e) for e in q["edges"]])
         if q is not None
         else None,
@@ -321,7 +324,6 @@ def _replay_report(
     report: dict, command, numbers: dict, graph_file: str, verdict: Verdict | None,
     word_cap: int | None, g: Graph, replay_cap: int,
 ) -> bool:
-    status = report.get("status")
     if command == "check":
         return verify_verdict(verdict, g, replay_cap)
     if word_cap is not None:  # a cap-exceeded repnum or prn report: rerun the search
@@ -337,7 +339,7 @@ def _replay_report(
         cert = _certificate(report.get("certificate"), g)
         return certificate_replays(cert, g, numbers.get("r"))
     if command == "prn":
-        if status == "not-comparability":
+        if report.get("status") == "not-comparability":
             return find_transitive_orientation(g) is None
         cert = _certificate(report.get("certificate"), g)
         return certificate_replays(cert, g, numbers.get("prn"), permutational=True)
@@ -350,8 +352,6 @@ def _replay_report(
             return False
         if emitted != g:
             return False
-        if "numbers_error" in report:
-            return True
         return all(
             report.get(key) is None
             or certificate_replays(

@@ -22,6 +22,7 @@ from .errors import CapExceeded
 from .graphs import Graph, iter_bits
 
 DEFAULT_ORACLE_EDGE_CAP = 24
+DEFAULT_WORD_CAP = 4  # words and realizers: at most this many copies of each letter
 
 
 @dataclass(frozen=True)
@@ -342,7 +343,7 @@ def _cycle_through(v: int, succ: list[int]) -> list[int]:
     return [v, *reversed(back), v]
 
 
-def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None:
+def minimum_realizer(poset: Poset, cap: int = DEFAULT_WORD_CAP) -> list[tuple[int, ...]] | None:
     """A smallest family of linear extensions intersecting to the poset.
 
     Searches k = 1, 2, ... up to ``cap``. For each k, every ordered
@@ -416,7 +417,7 @@ def minimum_realizer(poset: Poset, cap: int = 4) -> list[tuple[int, ...]] | None
     return None
 
 
-def poset_dimension(poset: Poset, cap: int = 4) -> int | None:
+def poset_dimension(poset: Poset, cap: int = DEFAULT_WORD_CAP) -> int | None:
     """The order dimension (smallest realizer size), or None if above the cap."""
     realizer = minimum_realizer(poset, cap)
     return None if realizer is None else len(realizer)

@@ -105,6 +105,7 @@ from .graphs import Graph, iter_bits, make_graph
 from .modular import lex_product, substitute
 from .orientations import (
     DEFAULT_ORACLE_EDGE_CAP,
+    DEFAULT_WORD_CAP,
     Orientation,
     exists_semi_transitive_orientation,
     find_transitive_orientation,
@@ -113,8 +114,6 @@ from .orientations import (
     poset_of,
 )
 from .words import Word, concat_permutations, represents, uniformity
-
-DEFAULT_WORD_CAP = 4
 
 GENERAL = "general"
 PERMUTATIONAL = "permutational"

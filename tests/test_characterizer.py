@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from wordrep import (
     nonwr_screen,
     rep_number,
     substitute,
+    uniformize,
     verify,
 )
 from wordrep.modular import induced_block_graphs
@@ -359,6 +361,53 @@ def test_one_partition_per_classify_and_reduced_verify(monkeypatch, g, caps):
     # only a reduced verdict replays the partition
     reduced = verdict.status == Status.REDUCED_TO_QUOTIENT
     assert calls == ([g] if reduced else [])
+
+
+@pytest.mark.parametrize(
+    "g, quotient_ref",
+    [
+        (wheel(5), wheel(5)),
+        (wheel(5), complete(2)),
+        (p3_join_c5(), p3_join_c5()),
+        (p3_join_c5(), maximal_modular_partition(p3_join_c5()).quotient),
+        (complete(1), complete(1)),
+        (complete(2), complete(2)),
+        (complete(4), complete(4)),
+    ],
+    ids=["w5-names-w5", "w5-names-k2", "p3-join-c5-names-itself",
+         "p3-join-c5-names-its-quotient", "k1", "k2", "k4"],
+)
+def test_verify_rejects_a_reduced_verdict_classify_never_makes(g, quotient_ref):
+    # a block that is not a comparability graph decides "no" and a complete
+    # graph is decided, whatever the caps, so neither is ever reduced
+    reduced = Verdict(Status.REDUCED_TO_QUOTIENT, Caps(), quotient_ref=quotient_ref)
+    assert not verify(reduced, g)
+
+
+def test_verify_checks_a_composed_verdicts_numbers_against_its_parts():
+    # W6 is K1 joined to C6: blocks of prn 1 and 3 over a K2 quotient
+    g = wheel(6)
+    verdict = classify(g)
+    assert (verdict.r_number, verdict.prn_number) == (3, 3)
+    assert (verdict.block_prns, verdict.quotient_r) == ((1, 3), 1)
+    assert verify(verdict, g)
+    # a 4-uniform word replays at r = 4, so only the prn rule rejects
+    # blocks of prn 4 under a permutational certificate of 3 permutations
+    word4 = uniformize(verdict.certificate.word, g, 4)
+    high_r = dataclasses.replace(
+        verdict, certificate=Representation(word4, 4, "general", g), r_number=4
+    )
+    assert verify(dataclasses.replace(high_r, block_prns=None, quotient_r=None), g)
+    for forged in (
+        dataclasses.replace(verdict, block_prns=(99, 99), quotient_r=7),
+        dataclasses.replace(verdict, quotient_r=7),
+        dataclasses.replace(verdict, block_prns=(1, 2)),
+        dataclasses.replace(verdict, block_prns=None),
+        dataclasses.replace(verdict, quotient_r=None),
+        dataclasses.replace(verdict, block_prns=()),
+        dataclasses.replace(high_r, block_prns=(1, 4)),
+    ):
+        assert not verify(forged, g)
 
 
 LARGE_INPUTS = {

@@ -562,6 +562,111 @@ def test_verify_product_report_against_emitted_file(capsys, tmp_path):
     assert vcode == 0 and json.loads(vout)["valid"] is True
 
 
+def graph_json(path: Path) -> dict:
+    g = parse_graph_text(path.read_text())
+    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+
+
+def reduced_to_itself(name: str):
+    return lambda report: {
+        **report, "status": "reduced-to-quotient", "witness": None, "certificate": None,
+        "perm_certificate": None, "quotient": graph_json(FIXTURES / name),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, mangle",
+    [
+        # W5's rim is a module that is not a comparability graph, and K2 is
+        # complete: classify decides both at any caps
+        ("w5.graph", reduced_to_itself("w5.graph")),
+        ("k2.graph", reduced_to_itself("k2.graph")),
+        # W6 has blocks of prn 1 and 3 over a K2 quotient, so r = 3
+        ("w6.graph", lambda report: {
+            **report, "numbers": {**report["numbers"], "block_prns": [99, 99], "quotient_r": 7},
+        }),
+    ],
+    ids=["w5-reduced-to-w5", "k2-reduced-to-k2", "w6-block-numbers"],
+)
+def test_verify_rejects_check_claims_classify_never_makes(capsys, tmp_path, name, mangle):
+    _, out, _ = run(capsys, "check", FIXTURES / name)
+    report_path = write_report(tmp_path, json.dumps(mangle(json.loads(out))))
+    vcode, vout, _ = run(capsys, "verify", FIXTURES / name, report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [{"block_prns": ["a", "b"]}, {"block_prns": 3}, {"quotient_r": "1"}, {"prn": "3"}],
+    ids=["block-prns-strings", "block-prns-int", "quotient-r-string", "prn-string"],
+)
+def test_verify_check_numbers_of_the_wrong_type_exit_64(capsys, tmp_path, numbers):
+    _, out, _ = run(capsys, "check", FIXTURES / "w6.graph")
+    report = json.loads(out)
+    report["numbers"].update(numbers)
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, verr = run(capsys, "verify", FIXTURES / "w6.graph", report_path)
+    assert vcode == 64 and vout == ""
+    assert verr.startswith("error: malformed")
+
+
+def test_verify_replays_product_certificates_despite_a_numbers_error(capsys, tmp_path):
+    # a numbers_error used to skip every certificate replay; here the word
+    # 0 1 ... 11 represents K12, not K2[C6]
+    out_path = tmp_path / "k2c6.graph"
+    _, out, _ = run(
+        capsys,
+        "product", FIXTURES / "k2.graph", FIXTURES / "c6.graph",
+        "--op", "lex", "--numbers", "--out", out_path,
+    )
+    report = json.loads(out)
+    report["certificate"].update(word=" ".join(map(str, range(12))), k=1)
+    report["numbers"]["r"] = 1
+    report["numbers_error"] = "forged"
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", out_path, report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
+def test_verify_replays_the_certificate_of_a_product_with_a_capped_prn(capsys, tmp_path):
+    # C6[K2] has r = 2 within word cap 2, but prn(C6) = 3 is above it: the
+    # report carries the r certificate next to its numbers_error
+    out_path = tmp_path / "c6k2.graph"
+    code, out, _ = run(
+        capsys,
+        "product", FIXTURES / "c6.graph", FIXTURES / "k2.graph",
+        "--op", "lex", "--numbers", "--word-cap", "2", "--out", out_path,
+    )
+    report = json.loads(out)
+    assert code == 0
+    assert report["numbers"] == {"r": 2, "prn": None}
+    assert report["numbers_error"] == "cap exceeded: realizer search capped at k=2"
+    assert report["certificate"]["k"] == 2 and report["perm_certificate"] is None
+    report_path = write_report(tmp_path, out)
+    vcode, vout, _ = run(capsys, "verify", out_path, report_path)
+    assert vcode == 0 and json.loads(vout)["valid"] is True
+    # a 2-uniform word for K12 in its place does not replay
+    report["certificate"]["word"] = " ".join(map(str, [*range(12), *range(12)]))
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", out_path, report_path)
+    assert vcode == 1 and json.loads(vout)["valid"] is False
+
+
+def test_product_lex_numbers_of_a_word_representable_non_comparability_factor(capsys):
+    # C5 is word-representable but not a comparability graph, so C5[K2] has
+    # r = 2 and no prn, and that is no numbers error
+    code, report = report_of(
+        capsys,
+        "product", FIXTURES / "c5.graph", FIXTURES / "k2.graph",
+        "--op", "lex", "--numbers",
+    )
+    assert code == 0
+    assert report["numbers"] == {"r": 2, "prn": None}
+    assert report["perm_certificate"] is None and "numbers_error" not in report
+
+
 # ------------------------------------------------------------------ cap plumbing
 
 

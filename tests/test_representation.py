@@ -439,3 +439,12 @@ def test_cap_exceeded_signalled():
     k2 = make_graph(2, [(0, 1)])
     with pytest.raises(CapExceeded):
         rep_number_composed(k2, 0, cycle(6), cap=2)
+
+
+def test_permutational_products_signal_a_capped_realizer():
+    # prn(C6) = 3, so both factors orient but the realizer stops at cap 2
+    k2 = make_graph(2, [(0, 1)])
+    with pytest.raises(CapExceeded, match="realizer search capped at k=2"):
+        lex_prn(cycle(6), k2, cap=2)
+    with pytest.raises(CapExceeded, match="realizer search capped at k=2"):
+        prn_composed(k2, 0, cycle(6), cap=2)
