@@ -376,6 +376,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         command = report.get("command")
         digest = _field(report, "input", dict, {}).get("sha256")
         numbers = _field(report, "numbers", dict, {})
+        for key in ("r", "prn"):  # a claimed number is an integer
+            _field(numbers, key, int)
         graph_file = _field(report, "graph_file", str, "")
         verdict = _check_verdict(report, numbers, g) if command == "check" else None
         word_cap = None

@@ -219,8 +219,10 @@ def find_transitive_orientation(g: Graph) -> Orientation | None:
     fixpoint. Orienting x -> y forces x -> w for every neighbor w of x not
     adjacent to y and w -> y for every neighbor w of y not adjacent to x
     (Pnueli, Lempel & Even 1971), and it closes every path x -> y -> w and
-    w -> x -> y with its transitive arc. A contradiction means no transitive
-    orientation exists.
+    w -> x -> y with its transitive arc. Each placed arc costs one mask step:
+    the arcs it forces are queued unless already placed, and a contradiction,
+    a missing closing edge or the reverse arc y -> x already placed, means
+    no transitive orientation exists.
 
     Why the pass never needs to take a choice back: the placed arcs P are
     closed under both rules, so P is a union of implication classes. Every
@@ -243,26 +245,19 @@ def find_transitive_orientation(g: Graph) -> Orientation | None:
         queue = [(x, y)]
         while queue:
             x, y = queue.pop()
-            if succ[x] >> y & 1:
+            if succ[x] >> y & 1:  # queued twice before it was placed
                 continue
-            if succ[y] >> x & 1:
+            # closing x -> y -> w and w -> x -> y needs the edges xw and wy;
+            # a placed y -> x fails here, since x is not its own neighbour
+            if succ[y] & ~adj[x] or pred[x] & ~adj[y]:
                 return False
+            # same-endpoint forcing and closure, queueing unplaced arcs only
+            for w in iter_bits((adj[x] & ~adj[y] & ~(1 << y) | succ[y]) & ~succ[x]):
+                queue.append((x, w))
+            for w in iter_bits((adj[y] & ~adj[x] & ~(1 << x) | pred[x]) & ~pred[y]):
+                queue.append((w, y))
             succ[x] |= 1 << y
             pred[y] |= 1 << x
-            # same-endpoint forcing
-            for w in iter_bits(adj[x] & ~adj[y] & ~(1 << y)):
-                queue.append((x, w))
-            for w in iter_bits(adj[y] & ~adj[x] & ~(1 << x)):
-                queue.append((w, y))
-            # transitive closure through the new arc
-            for w in iter_bits(succ[y]):
-                if not adj[x] >> w & 1:
-                    return False
-                queue.append((x, w))
-            for w in iter_bits(pred[x]):
-                if not adj[w] >> y & 1:
-                    return False
-                queue.append((w, y))
         return True
 
     if not all(

@@ -289,6 +289,16 @@ def test_product_invalid_pivot_exits_64(capsys):
     assert code == 64 and "pivot" in err
 
 
+def test_product_substitute_without_pivot_exits_64(capsys):
+    # main maps the missing --at to 64 itself; argparse does not see it
+    code, out, err = run(
+        capsys,
+        "product", FIXTURES / "k2.graph", FIXTURES / "c6.graph", "--op", "substitute",
+    )
+    assert code == 64 and out == ""
+    assert "--at" in err
+
+
 # ---------------------------------------------------------------------- verify
 
 
@@ -396,6 +406,32 @@ def test_verify_cap_exceeded_replay_past_replay_cap_exits_2(capsys, tmp_path):
     assert verr.startswith("error: ")
 
 
+W5_PENDANT = "7 11\n0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n1 5\n2 3\n3 4\n4 5\n1 6\n"
+
+
+@pytest.mark.parametrize(
+    "graph_text, witness, edges",
+    [
+        ((FIXTURES / "w5.graph").read_text(), [1, 2, 3, 4, 5], 5),
+        # prime, so no module witness: the replay reruns the oracle on all 11 edges
+        (W5_PENDANT, None, 11),
+    ],
+    ids=["witness-w5", "oracle-w5-pendant"],
+)
+def test_verify_check_replay_past_replay_cap_exits_2(capsys, tmp_path, graph_text, witness, edges):
+    path = tmp_path / "g.graph"
+    path.write_text(graph_text)
+    code, report = report_of(capsys, "check", path)
+    assert code == 1 and report["witness"] == witness
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, verr = run(capsys, "verify", path, report_path, "--replay-cap", edges - 1)
+    assert vcode == 2 and vout == ""
+    replay = "witness" if witness else "oracle"
+    assert verr == f"error: {replay} replay: {edges} edges exceed cap {edges - 1}\n"
+    vcode, vout, _ = run(capsys, "verify", path, report_path, "--replay-cap", edges)
+    assert vcode == 0 and json.loads(vout)["valid"] is True
+
+
 def test_verify_replays_a_high_word_cap_report_quickly(capsys, tmp_path):
     # the replay reruns word search up to the report's cap; on W5 the search
     # to cap 6 alone took over 10 s before the first-occurrence cut
@@ -499,12 +535,21 @@ REPNUM_C6_CAP_1 = ("repnum", FIXTURES / "c6.graph", "--cap", "1")
              "--op", "substitute", "--at", "0"),
             lambda report: {**report, "graph_file": 5},
         ),
+        # a number of the wrong type used to read as "not valid" (exit 1), or
+        # as valid when it compared equal to the certificate's k
+        (("repnum", FIXTURES / "c6.graph"), lambda report: {**report, "numbers": {"r": "2"}}),
+        (("prn", FIXTURES / "c6.graph"), lambda report: {**report, "numbers": {"prn": 3.0}}),
+        (
+            ("product", FIXTURES / "k2.graph", FIXTURES / "c6.graph", "--op", "lex",
+             "--numbers"),
+            lambda report: {**report, "numbers": {**report["numbers"], "r": "3"}},
+        ),
     ],
     ids=[
         "list", "missing-caps", "unknown-cap-key", "check-input-string",
         "check-input-list", "check-witness-strings", "repnum-numbers-list",
         "capped-word-cap-string", "capped-word-cap-zero", "capped-caps-list",
-        "product-graph-file-int",
+        "product-graph-file-int", "repnum-r-string", "prn-float", "product-r-string",
     ],
 )
 def test_verify_malformed_report_exits_64(capsys, tmp_path, argv, mangle):
@@ -560,6 +605,31 @@ def test_verify_product_report_against_emitted_file(capsys, tmp_path):
     report_path = write_report(tmp_path, out)
     vcode, vout, _ = run(capsys, "verify", out_path, report_path)
     assert vcode == 0 and json.loads(vout)["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "target, graph_file",
+    [(FIXTURES / "c6.graph", None), (None, "not a graph")],
+    ids=["against-a-factor", "graph-file-does-not-parse"],
+)
+def test_verify_rejects_a_product_report_its_graph_file_does_not_back(
+    capsys, tmp_path, target, graph_file
+):
+    # a product report replays against the graph it emitted: K2[C6] checked
+    # against C6 fails, and so does the emitted graph when the report's copy
+    # of it does not parse
+    out_path = tmp_path / "k2c6.graph"
+    _, out, _ = run(
+        capsys,
+        "product", FIXTURES / "k2.graph", FIXTURES / "c6.graph",
+        "--op", "lex", "--numbers", "--out", out_path,
+    )
+    report = json.loads(out)
+    if graph_file is not None:
+        report["graph_file"] = graph_file
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", target or out_path, report_path)
+    assert vcode == 1 and json.loads(vout)["valid"] is False
 
 
 def graph_json(path: Path) -> dict:
@@ -677,6 +747,11 @@ def test_env_var_sets_default_cap(capsys, monkeypatch):
     # explicit flag wins over the environment
     code, report = report_of(capsys, "repnum", FIXTURES / "c6.graph", "--cap", "2")
     assert code == 0 and report["numbers"]["r"] == 2
+    # a value that is not an integer is ignored with a warning
+    monkeypatch.setenv("WORDREP_WORD_CAP", "abc")
+    code, out, err = run(capsys, "repnum", FIXTURES / "c6.graph")
+    assert code == 0 and json.loads(out)["caps"]["word_cap"] == 4
+    assert err == "warning: ignoring non-integer WORDREP_WORD_CAP='abc'\n"
 
 
 @pytest.mark.parametrize(
