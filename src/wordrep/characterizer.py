@@ -6,28 +6,32 @@ modular partition induces a comparability graph and the quotient is
 word-representable; when it is, the representation number is the max of the
 quotient's representation number and the blocks' permutation-representation
 numbers. A block that fails comparability is a checkable witness of
-non-word-representability. By Gallai's theorem the quotient of a connected
-graph is complete or prime, so it is decided directly and only the top
-level of the modular decomposition tree is ever computed. Complete graphs
-get the identity word. Prime graphs get transitive orientation first, then
-the semi-transitive oracle when there is none, then bounded word search; a
-comparability graph gets its prn before word search, which then needs to go
-no higher than prn, since R <= prn. When caps prevent a decision the
-verdict honestly reduces to the undecided quotient.
+non-word-representability. Complete and edgeless blocks, single vertices
+included, are always comparability graphs and get their permutational
+certificates in closed form (``closed_form_prn``), checked on construction
+like every other, without an orientation or a realizer search. By Gallai's
+theorem the quotient of a connected graph is complete or prime, so it is
+decided directly and only the top level of the modular decomposition tree
+is ever computed. Complete graphs get the identity word. Prime graphs get
+transitive orientation first, then the semi-transitive oracle when there is
+none, then bounded word search; a comparability graph gets its prn before
+word search, which then needs to go no higher than prn, since R <= prn.
+When caps prevent a decision the verdict honestly reduces to the undecided
+quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from .errors import CapExceeded, DomainError
 from .graphs import Graph, induced_subgraph, is_connected
 from .modular import ModularPartition, is_module, maximal_modular_partition
 from .orientations import (
     DEFAULT_ORACLE_EDGE_CAP,
-    Orientation,
     exists_semi_transitive_orientation,
     find_transitive_orientation,
 )
@@ -36,7 +40,9 @@ from .representation import (
     GENERAL,
     PERMUTATIONAL,
     Representation,
+    closed_form_prn,
     compose,
+    prn,
     prn_of_orientation,
     rep_number,
 )
@@ -91,23 +97,29 @@ def _is_prime(partition: ModularPartition) -> bool:
     return all(len(b) == 1 for b in partition.blocks)
 
 
-def _block_orientations(
+def _block_prn_searches(
     partition: ModularPartition,
-) -> Iterator[tuple[frozenset[int], Orientation | None]]:
-    """Each block with a transitive orientation of the subgraph it induces,
-    or None when that subgraph is not a comparability graph.
+) -> Iterator[tuple[frozenset[int], Callable[[int], Representation | None] | None]]:
+    """Each block with the prn search of the subgraph it induces, a function
+    of the word cap, or None when that subgraph is not a comparability graph.
 
     Blocks are oriented lazily, in block order, so a caller that stops at
-    the first failure orients nothing past it.
+    the first failure orients nothing past it. A complete or edgeless block
+    is a comparability graph and is not oriented: its search is ``prn``,
+    which gives it the closed form within the cap.
     """
     for block in partition.blocks:
         bg, _ = induced_subgraph(partition.base, block)
-        yield block, find_transitive_orientation(bg)
+        if bg.m == 0 or _is_complete(bg):
+            yield block, partial(prn, bg)
+            continue
+        o = find_transitive_orientation(bg)
+        yield block, None if o is None else partial(prn_of_orientation, o)
 
 
 def _first_failing_block(partition: ModularPartition) -> frozenset[int] | None:
     """The first block that does not induce a comparability graph, if any."""
-    return next((b for b, o in _block_orientations(partition) if o is None), None)
+    return next((b for b, s in _block_prn_searches(partition) if s is None), None)
 
 
 def module_comparability_test(g: Graph) -> list[tuple[frozenset[int], bool]]:
@@ -125,7 +137,7 @@ def module_comparability_test(g: Graph) -> list[tuple[frozenset[int], bool]]:
     partition = maximal_modular_partition(g)
     if _is_prime(partition):
         raise DomainError("prime: no nontrivial modules in the maximal partition")
-    return [(block, o is not None) for block, o in _block_orientations(partition)]
+    return [(block, s is not None) for block, s in _block_prn_searches(partition)]
 
 
 def nonwr_screen(g: Graph) -> frozenset[int] | None:
@@ -143,8 +155,7 @@ def nonwr_screen(g: Graph) -> frozenset[int] | None:
 
 
 def _complete_verdict(g: Graph, caps: Caps) -> Verdict:
-    word = tuple(range(g.n))
-    rep = Representation(word, 1, PERMUTATIONAL, g)
+    rep = closed_form_prn(g)
     return Verdict(
         Status.COMPARABILITY,
         caps,
@@ -202,15 +213,15 @@ def classify(g: Graph, caps: Caps = Caps()) -> Verdict:
     if _is_prime(partition):
         return _classify_prime(g, caps)
 
-    orientations: list[Orientation] = []
-    for block, o in _block_orientations(partition):
-        if o is None:
+    searches: list[Callable[[int], Representation | None]] = []
+    for block, search in _block_prn_searches(partition):
+        if search is None:
             return Verdict(Status.NOT_WORD_REPRESENTABLE, caps, witness=block)
-        orientations.append(o)
+        searches.append(search)
     q = partition.quotient
     block_reps: list[Representation] = []
-    for o in orientations:
-        rep = prn_of_orientation(o, caps.word_cap)
+    for search in searches:
+        rep = search(caps.word_cap)
         if rep is None:
             # comparability holds but the prn search is capped; the quotient
             # is what is left undecided

@@ -383,14 +383,38 @@ def rep_number(g: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
     return None
 
 
+def closed_form_prn(g: Graph) -> Representation | None:
+    """The minimal permutational representation of a complete or an
+    edgeless graph, built without a search; None for any other graph.
+
+    A complete graph, K1 included, gets the identity permutation (k = 1),
+    and an edgeless graph on two or more vertices the reversal, then the
+    identity (k = 2: one permutation alternates every pair). These are the
+    words the realizer search returns: the lexicographically first
+    transitive orientation of K_s is i -> j for i < j, and the slot search
+    on an antichain reverses every pair in its first extension.
+    """
+    identity = tuple(range(g.n))
+    if g.m == g.n * (g.n - 1) // 2:
+        return Representation(identity, 1, PERMUTATIONAL, g)
+    if g.m == 0:
+        return Representation(identity[::-1] + identity, 2, PERMUTATIONAL, g)
+    return None
+
+
 def prn(g: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
     """Minimal concatenation of permutations representing g.
 
     None when g has no transitive orientation (not a comparability graph)
     or when the required number of permutations exceeds the cap. The count
     equals the order dimension of the induced poset; the realizer's linear
-    extensions, concatenated, are the certificate.
+    extensions, concatenated, are the certificate. Complete and edgeless
+    graphs get theirs in closed form (``closed_form_prn``) when it is
+    within the cap; past it the search runs, so the cap means the same.
     """
+    rep = closed_form_prn(g)
+    if rep is not None and rep.k <= cap:
+        return rep
     o = find_transitive_orientation(g)
     return None if o is None else prn_of_orientation(o, cap)
 
@@ -452,7 +476,7 @@ def compose(
 
 
 # the block that stands for a vertex left in place by a substitution
-_POINT = Representation((0,), 1, PERMUTATIONAL, make_graph(1, []))
+_POINT = closed_form_prn(make_graph(1, []))
 
 
 @dataclass(frozen=True)

@@ -53,18 +53,34 @@ def _alternation_masks(word: Sequence[int], n: int) -> tuple[int, ...]:
     between consecutive x's holds an odd number of y's and vice versa (an
     even number is none, or two y's with no x between them), and a gap's
     parities are the XOR of the count-parity masks at its two ends.
+
+    Lemma: two letters that occur c times each alternate iff every gap
+    between consecutive x's holds an odd number of y's; the y side then
+    holds too. Proof: the c - 1 odd counts sum to at most c, so each is 1,
+    and the one y left over lies outside the span of the x's, so the
+    projection is x y x ... y x with one more y at an end. Hence the
+    odd-gap masks are symmetric on letters of equal count, and only pairs
+    of unequal counts are checked bit by bit: a uniform word, as every
+    certificate is, costs O(n) mask operations.
     """
     full = (1 << n) - 1
     parity = 0
     at_last: list[int | None] = [None] * n  # parity at each letter's last occurrence
     odd_gaps = [full] * n
+    count = [0] * n
     for c in word:
         if at_last[c] is not None:
             odd_gaps[c] &= parity ^ at_last[c]
         at_last[c] = parity
         parity ^= 1 << c
+        count[c] += 1
+    with_count: dict[int, int] = {}
+    for u, c in enumerate(count):
+        with_count[c] = with_count.get(c, 0) | 1 << u
+    same = [with_count[c] for c in count]
     return tuple(
-        sum(1 << v for v in iter_bits(mask & ~(1 << u)) if odd_gaps[v] >> u & 1)
+        mask & same[u] & ~(1 << u)
+        | sum(1 << v for v in iter_bits(mask & ~same[u]) if odd_gaps[v] >> u & 1)
         for u, mask in enumerate(odd_gaps)
     )
 

@@ -16,15 +16,18 @@ from wordrep import (
     induced_subgraph,
     make_graph,
     maximal_modular_partition,
+    minimum_realizer,
     module_comparability_test,
     nonwr_screen,
+    poset_of,
     rep_number,
     substitute,
     uniformize,
     verify,
 )
 from wordrep.modular import induced_block_graphs
-from helpers import atlas_connected, complete, cone, cycle, path_graph, prism, random_connected_graph, star, wheel
+from wordrep.representation import closed_form_prn, prn_of_orientation
+from helpers import atlas_connected, complete, cone, cycle, empty, path_graph, prism, random_connected_graph, star, wheel
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
 
@@ -361,6 +364,54 @@ def test_one_partition_per_classify_and_reduced_verify(monkeypatch, g, caps):
     # only a reduced verdict replays the partition
     reduced = verdict.status == Status.REDUCED_TO_QUOTIENT
     assert calls == ([g] if reduced else [])
+
+
+def test_clique_and_edgeless_blocks_are_neither_oriented_nor_searched(monkeypatch):
+    import wordrep.characterizer as characterizer
+    import wordrep.representation as representation
+
+    # C5 with vertex 0 replaced by K12, vertex 2 by an edgeless 12-set and
+    # vertex 3 by P4; vertices 1 and 4 stay single
+    g, _, _ = substitute(cycle(5), 0, complete(12))
+    g, _, _ = substitute(g, 1, empty(12))
+    g, _, p4_map = substitute(g, 1, path_graph(4))
+    p4, _ = induced_subgraph(g, p4_map.values())
+    q = maximal_modular_partition(g).quotient
+    oriented, realized = [], []
+
+    def counted_orientation(graph):
+        oriented.append(graph)
+        return find_transitive_orientation(graph)
+
+    def counted_realizer(poset, cap):
+        realized.append(poset)
+        return minimum_realizer(poset, cap)
+
+    for module in (characterizer, representation):
+        monkeypatch.setattr(module, "find_transitive_orientation", counted_orientation)
+    monkeypatch.setattr(representation, "minimum_realizer", counted_realizer)
+    verdict = classify(g)
+    assert oriented == [p4, q] and q.n == q.m == 5
+    assert realized == [poset_of(find_transitive_orientation(p4))]
+    assert verdict.status == Status.WORD_REPRESENTABLE
+    assert sorted(verdict.block_prns) == [1, 1, 1, 2, 2]
+    assert verify(verdict, g)
+    monkeypatch.undo()
+
+    # the closed forms are the words the search returns
+    for s in range(1, 41):
+        for h in [complete(s)] + ([empty(s)] if s > 1 else []):
+            assert closed_form_prn(h) == prn_of_orientation(find_transitive_orientation(h))
+
+
+def test_classify_reduces_to_the_quotient_at_an_edgeless_block_over_the_cap():
+    # prn of the edgeless block is 2, over the word cap of 1: the search
+    # runs as for any block, and the quotient is what is left undecided
+    g, _, _ = substitute(cycle(5), 0, empty(3))
+    verdict = classify(g, Caps(1, 24))
+    assert verdict.status == Status.REDUCED_TO_QUOTIENT
+    assert verdict.quotient_ref == cycle(5)
+    assert verify(verdict, g)
 
 
 @pytest.mark.parametrize(

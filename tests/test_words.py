@@ -163,8 +163,16 @@ def words_with_single_letters(draw):
     return tuple(word)
 
 
+@st.composite
+def uniform_words(draw):
+    """k copies of each of n <= 9 letters, shuffled, for k = 1..4."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 4))
+    return tuple(draw(st.permutations(list(range(n)) * k)))
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(words_with_single_letters())
+@given(st.one_of(words_with_single_letters(), uniform_words()))
 def test_alternation_graph_matches_pairwise_alternate(w):
     # alternate() works on two-letter projections and shares no code with
     # the mask pass behind alternation_graph() and represents()
