@@ -211,18 +211,19 @@ def exists_semi_transitive_orientation(
     return True
 
 
-def find_transitive_orientation(g: Graph) -> Orientation | None:
-    """The lexicographically first transitive orientation, or None.
+def _transitive_masks(adj: list[int] | tuple[int, ...]) -> tuple[list[int], list[int]] | None:
+    """The lexicographically first transitive orientation of the graph with
+    neighbour masks ``adj``, as successor and predecessor masks, or None.
 
-    One forcing pass over the sorted edges: each edge not yet oriented gets
-    its stored direction u -> v, and ``place`` propagates two rules to
-    fixpoint. Orienting x -> y forces x -> w for every neighbor w of x not
-    adjacent to y and w -> y for every neighbor w of y not adjacent to x
-    (Pnueli, Lempel & Even 1971), and it closes every path x -> y -> w and
-    w -> x -> y with its transitive arc. Each placed arc costs one mask step:
-    the arcs it forces are queued unless already placed, and a contradiction,
-    a missing closing edge or the reverse arc y -> x already placed, means
-    no transitive orientation exists.
+    One forcing pass over the edges u < v in sorted order: each edge not yet
+    oriented gets its stored direction u -> v, and ``place`` propagates two
+    rules to fixpoint. Orienting x -> y forces x -> w for every neighbor w
+    of x not adjacent to y and w -> y for every neighbor w of y not adjacent
+    to x (Pnueli, Lempel & Even 1971), and it closes every path x -> y -> w
+    and w -> x -> y with its transitive arc. Each placed arc costs one mask
+    step: the arcs it forces are queued unless already placed, and a
+    contradiction, a missing closing edge or the reverse arc y -> x already
+    placed, means no transitive orientation exists.
 
     Why the pass never needs to take a choice back: the placed arcs P are
     closed under both rules, so P is a union of implication classes. Every
@@ -237,9 +238,9 @@ def find_transitive_orientation(g: Graph) -> Orientation | None:
     a backtracking search that tries the stored direction first: the
     lexicographically first transitive orientation.
     """
-    adj = g.adj
-    succ = [0] * g.n
-    pred = [0] * g.n
+    n = len(adj)
+    succ = [0] * n
+    pred = [0] * n
 
     def place(x: int, y: int) -> bool:
         queue = [(x, y)]
@@ -260,10 +261,22 @@ def find_transitive_orientation(g: Graph) -> Orientation | None:
             pred[y] |= 1 << x
         return True
 
-    if not all(
-        succ[u] >> v & 1 or succ[v] >> u & 1 or place(u, v) for u, v in sorted(g.edges)
-    ):
+    for u in range(n):
+        for v in iter_bits(adj[u] >> (u + 1) << (u + 1)):
+            if not (succ[u] >> v & 1 or succ[v] >> u & 1 or place(u, v)):
+                return None
+    return succ, pred
+
+
+def find_transitive_orientation(g: Graph) -> Orientation | None:
+    """The lexicographically first transitive orientation, or None: the
+    forcing pass of ``_transitive_masks``, whose docstring proves that it
+    is the first solution of a search that tries each edge's stored
+    direction u -> v (u < v) first, in sorted edge order."""
+    masks = _transitive_masks(g.adj)
+    if masks is None:
         return None
+    succ, _ = masks
     o = Orientation(g, frozenset((x, y) for x in range(g.n) for y in iter_bits(succ[x])))
     assert is_transitive(o)
     return o
@@ -302,7 +315,7 @@ def poset_of(o: Orientation) -> Poset:
     return Poset(frozenset(range(o.base.n)), frozenset(o.arcs))
 
 
-def _lex_min_topological(m: int, succ: list[int]) -> tuple[int, ...]:
+def _lex_min_topological(m: int, succ: list[int]) -> list[int]:
     indeg = [0] * m
     for v in range(m):
         for w in iter_bits(succ[v]):
@@ -315,7 +328,7 @@ def _lex_min_topological(m: int, succ: list[int]) -> tuple[int, ...]:
         out.append(v)
         for w in iter_bits(succ[v]):
             indeg[w] -= 1
-    return tuple(out)
+    return out
 
 
 def _cycle_through(v: int, succ: list[int]) -> list[int]:
@@ -342,13 +355,48 @@ def minimum_realizer(poset: Poset, cap: int = DEFAULT_WORD_CAP) -> list[tuple[in
     """A smallest family of linear extensions intersecting to the poset.
 
     Searches k = 1, 2, ... up to ``cap``. For each k, every ordered
-    incomparable pair must be reversed by some extension; the search assigns
-    pairs to extension slots depth-first, keeping each slot's digraph
-    (relation plus its reversed pairs) acyclic. Each slot holds the
-    descendant masks of its digraph, so a pair (a, b) can be reversed in a
-    slot iff a does not reach b there. Returns None if the dimension
-    exceeds the cap, and raises ValueError, naming a cycle, if the relation
-    is cyclic.
+    incomparable pair (a, b) must be reversed, b before a, by some
+    extension; the search assigns the pairs, in the order of ``inc``, to
+    extension slots depth-first, trying slot 0 first and opening at most one
+    new slot per pair, and keeps each slot's digraph (relation plus its
+    reversed pairs) acyclic. Each slot holds the descendant masks of its
+    digraph, so a pair (a, b) can be reversed in a slot iff a does not reach
+    b there. The realizer is the search's first leaf. Returns None if the
+    dimension exceeds the cap, or if the relation is not transitive: an
+    intersection of linear orders is transitive, and no level has a leaf
+    when some pair a < c is missing, since a reaches c in every slot.
+    Raises ValueError, naming a cycle, if the relation is cyclic.
+
+    k = 2 runs no search. Lemma: the first leaf at k = 2 is (P + T^-1,
+    P + T), where T is the lexicographically first transitive orientation
+    of the incomparability graph (``_transitive_masks``), and there is no
+    leaf iff that graph has none. Proof. The first pair opens slot 0 and its
+    reverse, blocked there, opens slot 1. From then on, a pair (a, b) with
+    a < b that takes slot c leaves (b, a) only the other slot, the one
+    where b does not already reach a. So the search makes one binary choice
+    per incomparable pair a < b, in sorted order, slot 0 first, and its
+    first leaf is the lexicographically least choice vector with both slots
+    acyclic. Each slot of a leaf orders every incomparable pair, so it is a
+    linear order: slot 0 is P + T0 and slot 1 is P + T0^-1 for an
+    orientation T0 of the incomparability graph, and by Dushnik & Miller
+    (1941) both are linear orders iff T0 is transitive. Slot 0 for (a, b)
+    means b -> a in T0. Reversing every arc maps transitive orientations
+    onto transitive orientations, so the least vector has T0 = T^-1, where
+    T is the first transitive orientation that tries a -> b first on the
+    sorted edges: the one the forcing pass finds. A linear order is its own
+    closure, so the slots need no ``_closure``, and its only linear
+    extension lists the elements by falling number of successors.
+
+    At every searched level (k = 1 and k >= 3) a placement is dropped once
+    every slot is open and some incomparable pair (x, y) is blocked in all
+    of them: x reaches y in every slot. At k = 1 the one slot is open from
+    the first pair on, so any blocked pair drops the branch. The cut is
+    exact. Masks only grow along a branch, so the pair can never be placed,
+    and it is not placed already, since its slot would hold both y -> x and
+    a path x ~> y, a cycle. While a slot is unopened, it holds the relation
+    alone and blocks no incomparable pair; once all are open, a newly
+    blocked pair is blocked in the slot just changed, so only the rows that
+    changed are checked.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -359,14 +407,16 @@ def minimum_realizer(poset: Poset, cap: int = DEFAULT_WORD_CAP) -> list[tuple[in
     for a, b in poset.relation:
         base_succ[idx[a]] |= 1 << idx[b]
     inc: list[tuple[int, int]] = []
+    incm = [0] * m  # the incomparability graph's neighbour masks
     for a in range(m):
         for b in range(a + 1, m):
             if not (base_succ[a] >> b & 1) and not (base_succ[b] >> a & 1):
                 inc.append((a, b))
                 inc.append((b, a))
+                incm[a] |= 1 << b
+                incm[b] |= 1 << a
 
-    def finish(descs: list[list[int]]) -> list[tuple[int, ...]]:
-        exts = [_lex_min_topological(m, d) for d in descs]
+    def finish(exts: list[list[int]]) -> list[tuple[int, ...]]:
         got = [-1] * m  # per element: the elements after it in every extension
         for ext in exts:
             later = 0
@@ -381,7 +431,19 @@ def minimum_realizer(poset: Poset, cap: int = DEFAULT_WORD_CAP) -> list[tuple[in
         if closed[v] >> v & 1:
             cycle = " -> ".join(str(elems[x]) for x in _cycle_through(v, base_succ))
             raise ValueError(f"relation is cyclic: {cycle}")
+    if closed != base_succ:
+        return None
     for k in range(1, cap + 1):
+        if k == 2:
+            masks = _transitive_masks(incm)
+            if masks is None:
+                continue
+            succ, pred = masks
+            # P + T^-1, then P + T, each by falling number of successors
+            return finish([
+                sorted(range(m), key=lambda v: -(base_succ[v] | arcs[v]).bit_count())
+                for arcs in (pred, succ)
+            ])
         descs = [list(closed) for _ in range(k)]
         # depth-first over pairs with an explicit stack of (pair index, slot,
         # slots used before the pair, the slot's masks before the pair): pair
@@ -391,15 +453,22 @@ def minimum_realizer(poset: Poset, cap: int = DEFAULT_WORD_CAP) -> list[tuple[in
         i = c = used = 0
         while i < len(inc):
             a, b = inc[i]  # some slot must put b before a
-            while c < min(used + 1, k) and descs[c][a] >> b & 1:
-                c += 1
-            if c < min(used + 1, k):
-                # b and everything reaching b now reach a and a's descendants
+            slots = min(used + 1, k)
+            while c < slots:
                 d = descs[c]
-                add, bit = 1 << a | d[a], 1 << b
+                if not d[a] >> b & 1:
+                    # b and everything reaching b now reach a and a's descendants
+                    add, bit = 1 << a | d[a], 1 << b
+                    new = [dx | add if dx & bit else dx for dx in d]
+                    new[b] |= add
+                    # the dead-pair cut, at every searched level once every
+                    # slot is open
+                    if max(used, c + 1) < k or not _blocks_a_pair(descs, c, d, new, incm):
+                        break
+                c += 1
+            if c < slots:
                 stack.append((i, c, used, d))
-                descs[c] = [dx | add if dx & bit else dx for dx in d]
-                descs[c][b] |= add
+                descs[c] = new
                 i, c, used = i + 1, 0, max(used, c + 1)
             elif stack:
                 i, c, used, d = stack.pop()
@@ -408,8 +477,25 @@ def minimum_realizer(poset: Poset, cap: int = DEFAULT_WORD_CAP) -> list[tuple[in
             else:
                 break
         else:
-            return finish(descs)
+            return finish([_lex_min_topological(m, d) for d in descs])
     return None
+
+
+def _blocks_a_pair(
+    descs: list[list[int]], c: int, d: list[int], new: list[int], incm: list[int]
+) -> bool:
+    """True iff some incomparable pair that slot c's masks, going from d to
+    new, now block is blocked in every other slot too (the realizer's
+    dead-pair cut)."""
+    others = descs[:c] + descs[c + 1:]
+    for x, (before, after) in enumerate(zip(d, new)):
+        blocked = incm[x] & after & ~before
+        if blocked:
+            for other in others:
+                blocked &= other[x]
+            if blocked:
+                return True
+    return False
 
 
 def poset_dimension(poset: Poset, cap: int = DEFAULT_WORD_CAP) -> int | None:

@@ -40,6 +40,11 @@ def star(leaves: int) -> Graph:
     return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def crown(s: int) -> Graph:
+    """K_{s,s} minus a perfect matching: i joined to s + j for i != j."""
+    return make_graph(2 * s, [(i, s + j) for i in range(s) for j in range(s) if i != j])
+
+
 def prism() -> Graph:
     return make_graph(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from wordrep import Graph, all_modules, represents
-from wordrep.orientations import Orientation, is_transitive
+from wordrep.orientations import Orientation, Poset, is_transitive
 from wordrep.words import Word
 
 
@@ -140,3 +140,66 @@ def perm_concat_representable(g: Graph, k: int) -> bool:
         return any(rec(first, depth + 1, disagree | (first ^ m)) for m in masks)
 
     return any(rec(first, 1, 0) for first in masks)
+
+
+def reference_realizer(poset: Poset, cap: int) -> list[tuple[int, ...]] | None:
+    """The plain slot search for a smallest realizer, with no shortcut at
+    k = 2 and no cut: every ordered incomparable pair (a, b) goes depth-first
+    into the first slot, of those opened so far plus one new, where a does
+    not reach b, and each slot keeps its descendant masks. The realizer is
+    the lexicographically least linear extension of each slot of the first
+    leaf, in slot order; None if no level up to the cap has a leaf. The
+    relation must be acyclic.
+    """
+    elems = sorted(poset.elements)
+    m = len(elems)
+    idx = {e: i for i, e in enumerate(elems)}
+    succ = [0] * m
+    for a, b in poset.relation:
+        succ[idx[a]] |= 1 << idx[b]
+    inc = [
+        pair
+        for a in range(m)
+        for b in range(a + 1, m)
+        if not (succ[a] >> b & 1 or succ[b] >> a & 1)
+        for pair in ((a, b), (b, a))
+    ]
+    closed = list(succ)
+    for k in range(m):
+        closed = [d | closed[k] if d >> k & 1 else d for d in closed]
+
+    def first_leaf(k: int) -> list[list[int]] | None:
+        descs = [list(closed) for _ in range(k)]
+
+        def rec(i: int, used: int) -> bool:
+            if i == len(inc):
+                return True
+            a, b = inc[i]
+            for c in range(min(used + 1, k)):
+                d = descs[c]
+                if d[a] >> b & 1:
+                    continue
+                add, bit = 1 << a | d[a], 1 << b
+                descs[c] = [dx | add if dx & bit else dx for dx in d]
+                descs[c][b] |= add
+                if rec(i + 1, max(used, c + 1)):
+                    return True
+                descs[c] = d
+            return False
+
+        return descs if rec(0, 0) else None
+
+    def extension(d: list[int]) -> tuple[int, ...]:
+        out: list[int] = []
+        left = set(range(m))
+        while left:
+            v = min(x for x in left if not any(d[y] >> x & 1 for y in left))
+            out.append(v)
+            left.remove(v)
+        return tuple(elems[v] for v in out)
+
+    for k in range(1, cap + 1):
+        descs = first_leaf(k)
+        if descs is not None:
+            return [extension(d) for d in descs]
+    return None

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +28,7 @@ from wordrep import (
 )
 from wordrep.modular import induced_block_graphs
 from wordrep.representation import closed_form_prn, prn_of_orientation
-from helpers import atlas_connected, complete, cone, cycle, empty, path_graph, prism, random_connected_graph, star, wheel
+from helpers import atlas_connected, complete, cone, crown, cycle, empty, path_graph, prism, random_connected_graph, star, wheel
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
 
@@ -411,6 +412,17 @@ def test_classify_reduces_to_the_quotient_at_an_edgeless_block_over_the_cap():
     verdict = classify(g, Caps(1, 24))
     assert verdict.status == Status.REDUCED_TO_QUOTIENT
     assert verdict.quotient_ref == cycle(5)
+    assert verify(verdict, g)
+
+
+def test_classify_reduces_the_5_crown_past_the_word_cap_quickly():
+    # prn is 5, above the word cap of 3: the realizer must refute k = 3,
+    # which took 22 s before its dead-pair cut
+    g = crown(5)
+    started = time.perf_counter()
+    verdict = classify(g, Caps(3, 24))
+    assert time.perf_counter() - started < 10
+    assert verdict.status == Status.REDUCED_TO_QUOTIENT
     assert verify(verdict, g)
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,12 +19,13 @@ from wordrep import (
     poset_of,
 )
 from wordrep.orientations import Orientation, Poset
-from helpers import atlas_connected, complete, cycle, path_graph, random_graph, wheel
+from helpers import atlas_connected, complete, crown, cycle, path_graph, random_graph, wheel
 from oracles import (
     all_orientations,
     brute_exists_semi_transitive,
     brute_has_transitive_orientation,
     brute_is_semi_transitive,
+    reference_realizer,
 )
 
 
@@ -362,3 +364,91 @@ def test_realizer_of_cyclic_relation_names_the_cycle(relation, cycle_text):
     p = Poset(frozenset(range(5)), frozenset(relation))
     with pytest.raises(ValueError, match=f"^relation is cyclic: {cycle_text}$"):
         minimum_realizer(p)
+
+
+def random_order(rng: random.Random, n: int, d: int) -> Poset:
+    """The intersection of d random linear orders of 0..n-1."""
+    positions = []
+    for _ in range(d):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        positions.append({v: i for i, v in enumerate(perm)})
+    relation = [
+        (a, b) for a in range(n) for b in range(n)
+        if a != b and all(pos[a] < pos[b] for pos in positions)
+    ]
+    return make_poset(range(n), relation)
+
+
+def test_realizer_equals_the_plain_slot_search():
+    # the k = 2 forcing pass and the dead-pair cut at k >= 3 keep the first
+    # leaf of the unpruned search: same extensions, same order, same None
+    rng = random.Random(19)
+    posets = [random_order(rng, rng.randint(2, 10), d) for d in (1, 2, 3, 4) for _ in range(100)]
+    posets += [
+        poset_of(o)
+        for g in atlas_connected(6, min_n=2)
+        if (o := find_transitive_orientation(g)) is not None
+    ]
+    # the 4-crown has dimension 4 (under random labels the plain search
+    # takes minutes to refute k = 3 on it)
+    posets.append(poset_of(find_transitive_orientation(crown(4))))
+    sizes, nones = set(), 0
+    for p in posets:
+        for cap in (1, 2, 3, 4):
+            expected = reference_realizer(p, cap)
+            assert minimum_realizer(p, cap) == expected, (sorted(p.relation), cap)
+            if expected is None:
+                nones += 1
+            else:
+                sizes.add(len(expected))
+    assert sizes == {1, 2, 3, 4} and nones > 0
+
+
+def test_realizer_of_unclosed_relation_is_none_at_every_cap():
+    relations = [
+        {(0, 1), (1, 2)},
+        {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)},  # (0, 3) missing
+        {(3, 1), (1, 4)},
+    ]
+    for relation in relations:
+        p = Poset(frozenset(range(5)), frozenset(relation))
+        for cap in (1, 2, 3, 4):
+            assert minimum_realizer(p, cap) is None
+            assert reference_realizer(p, cap) is None
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        "02 06 14 15 32 34 75 76",
+        "02 05 13 14 62 63 74 75",
+    ],
+)
+def test_realizer_of_randomly_labelled_8_cycles_is_quick(arcs):
+    # the two 8-cycle blocks of composite seed 1 that took 50-130 ms each
+    # when the search refuted k = 2 pair by pair
+    p = make_poset(range(8), [(int(a[0]), int(a[1])) for a in arcs.split()])
+    started = time.perf_counter()
+    realizer = minimum_realizer(p)
+    assert time.perf_counter() - started < 10
+    assert realizer == reference_realizer(p, 4) and len(realizer) == 3
+
+
+def test_realizer_refutes_the_5_crown_at_cap_3_quickly():
+    # the 5-crown has dimension 5; refuting k = 3 took 22 s without the
+    # dead-pair cut
+    p = poset_of(find_transitive_orientation(crown(5)))
+    started = time.perf_counter()
+    assert minimum_realizer(p, cap=3) is None
+    assert time.perf_counter() - started < 10
+
+
+def test_randomly_labelled_10_cycles_have_dimension_3_quickly():
+    for seed in range(10):
+        label = list(range(10))
+        random.Random(seed).shuffle(label)
+        g = make_graph(10, [(label[i], label[(i + 1) % 10]) for i in range(10)])
+        started = time.perf_counter()
+        assert poset_dimension(poset_of(find_transitive_orientation(g))) == 3
+        assert time.perf_counter() - started < 10, seed
