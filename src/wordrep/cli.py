@@ -34,8 +34,8 @@ from .representation import (
     Representation,
     lex_prn,
     lex_rep_number,
+    prn,
     prn_composed,
-    prn_of_orientation,
     rep_number,
     rep_number_composed,
 )
@@ -187,14 +187,13 @@ def cmd_repnum(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_prn(args: argparse.Namespace) -> tuple[dict, int]:
     g, echo = _load_graph(args.path)
-    o = find_transitive_orientation(g)
-    rep = prn_of_orientation(o, args.cap) if o is not None else None
-    if o is None:
-        status, code = "not-comparability", EXIT_NEGATIVE
-    elif rep is None:
-        status, code = "cap-exceeded", EXIT_NO_INFORMATION
-    else:
+    rep = prn(g, args.cap)
+    if rep is not None:
         status, code = "ok", EXIT_OK
+    elif find_transitive_orientation(g) is None:
+        status, code = "not-comparability", EXIT_NEGATIVE
+    else:
+        status, code = "cap-exceeded", EXIT_NO_INFORMATION
     report = {
         "command": "prn",
         "input": echo,
@@ -236,33 +235,22 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
         "m": product.m,
     }
     if args.numbers:
-        numbers: dict = {"r": None, "prn": None}
-        certificate = perm_certificate = None
+        if args.op == "substitute":
+            word_of, perm_of, factors = rep_number_composed, prn_composed, (g, args.at, h)
+        else:
+            word_of, perm_of, factors = lex_rep_number, lex_prn, (g, h)
+        numbers = report["numbers"] = {"r": None, "prn": None}
+        report["certificate"] = report["perm_certificate"] = None
         try:
-            if args.op == "substitute":
-                rep = rep_number_composed(
-                    g, args.at, h, caps.word_cap, caps.oracle_edge_cap
-                )
-            else:
-                rep = lex_rep_number(g, h, caps.word_cap, caps.oracle_edge_cap)
-            numbers["r"] = rep.k
-            certificate = _cert_json(rep)
-            try:
-                if args.op == "substitute":
-                    perm = prn_composed(g, args.at, h, caps.word_cap)
-                else:
-                    perm = lex_prn(g, h, caps.word_cap)
-                numbers["prn"] = perm.k
-                perm_certificate = _cert_json(perm)
-            except DomainError:
-                pass  # h passed as a comparability graph above, so g is not one
+            rep = word_of(*factors, caps.word_cap, caps.oracle_edge_cap)
+            numbers["r"], report["certificate"] = rep.k, _cert_json(rep)
+            perm = perm_of(*factors, caps.word_cap)
+            numbers["prn"], report["perm_certificate"] = perm.k, _cert_json(perm)
         except DomainError as exc:
-            report["numbers_error"] = str(exc)
+            if numbers["r"] is None:  # else h is a comparability graph, and g is not
+                report["numbers_error"] = str(exc)
         except CapExceeded as exc:
             report["numbers_error"] = f"cap exceeded: {exc}"
-        report["numbers"] = numbers
-        report["certificate"] = certificate
-        report["perm_certificate"] = perm_certificate
     if args.out is not None:
         write_graph_file(args.out, product)
     return report, EXIT_OK
@@ -320,29 +308,34 @@ def _check_verdict(report: dict, numbers: dict, g: Graph) -> Verdict:
     )
 
 
+_SEARCH_STATUSES = {  # the statuses that repnum and prn print
+    "repnum": ("ok", "cap-exceeded"),
+    "prn": ("ok", "cap-exceeded", "not-comparability"),
+}
+
+
 def _replay_report(
     report: dict, command, numbers: dict, graph_file: str, verdict: Verdict | None,
     word_cap: int | None, g: Graph, replay_cap: int,
 ) -> bool:
     if command == "check":
         return verify_verdict(verdict, g, replay_cap)
-    if word_cap is not None:  # a cap-exceeded repnum or prn report: rerun the search
+    if command in ("repnum", "prn"):
+        number = numbers.get("r" if command == "repnum" else "prn")
+        if report["status"] == "ok":
+            cert = _certificate(report.get("certificate"), g)
+            return certificate_replays(cert, g, number, permutational=command == "prn")
+        # only an ok report carries a certificate and a number
+        if report.get("certificate") is not None or number is not None:
+            return False
+        if report["status"] == "not-comparability":
+            return find_transitive_orientation(g) is None
+        # cap-exceeded: rerun the search
         if g.m > replay_cap:
             raise CapExceeded(f"search replay: {g.m} edges exceed cap {replay_cap}")
-        if report.get("certificate") is not None:
-            return False
         if command == "repnum":
             return rep_number(g, word_cap) is None
-        o = find_transitive_orientation(g)
-        return o is not None and prn_of_orientation(o, word_cap) is None
-    if command == "repnum":
-        cert = _certificate(report.get("certificate"), g)
-        return certificate_replays(cert, g, numbers.get("r"))
-    if command == "prn":
-        if report.get("status") == "not-comparability":
-            return find_transitive_orientation(g) is None
-        cert = _certificate(report.get("certificate"), g)
-        return certificate_replays(cert, g, numbers.get("prn"), permutational=True)
+        return prn(g, word_cap) is None and find_transitive_orientation(g) is not None
     if command == "decompose":
         return all(report.get(k) == v for k, v in _decomposition_json(g).items())
     if command == "product":
@@ -381,10 +374,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         graph_file = _field(report, "graph_file", str, "")
         verdict = _check_verdict(report, numbers, g) if command == "check" else None
         word_cap = None
-        if command in ("repnum", "prn") and report.get("status") == "cap-exceeded":
-            word_cap = report["caps"]["word_cap"]
-            if not isinstance(word_cap, int) or word_cap < 1:
-                raise ValueError(f"'word_cap' must be a positive int, not {word_cap!r}")
+        if command in ("repnum", "prn"):
+            if report.get("status") not in _SEARCH_STATUSES[command]:
+                raise ValueError(f"a {command} report has no status {report.get('status')!r}")
+            if report["status"] == "cap-exceeded":
+                word_cap = report["caps"]["word_cap"]
+                if not isinstance(word_cap, int) or word_cap < 1:
+                    raise ValueError(f"'word_cap' must be a positive int, not {word_cap!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed report: {exc!r}") from None
     # a product report names no single input; it is checked against the

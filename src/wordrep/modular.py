@@ -136,7 +136,7 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     if g.n < 2:
         raise ValueError("maximal modular partition needs at least two vertices")
     if not is_connected(g):
-        raise ValueError("maximal modular partition is defined for connected graphs")
+        raise ValueError("the graph is not connected")
     full = (1 << g.n) - 1
     blocks = mask_components([full & ~a & ~(1 << v) for v, a in enumerate(g.adj)])
     if len(blocks) < 2:

@@ -358,10 +358,11 @@ def rep_number(g: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
     lexicographically first one. Level 1 (only complete graphs have a
     1-uniform word, and the letter search refutes any other graph within a
     few letters) and the cap level, whose answer is final either way, are
-    searched by letters directly. Once level 2 is refuted, a graph within the oracle's
-    edge cap and with no semi-transitive orientation has no word at any
-    level. The oracle says so at once, while the decider's refutations grow
-    steeply with k on such graphs (W7: 0.07 s at level 3, 18 s at level 4).
+    searched by letters directly. Once level 2 is refuted, a graph within
+    ``DEFAULT_ORACLE_EDGE_CAP`` edges, whatever ``--oracle-cap`` says, and
+    with no semi-transitive orientation has no word at any level. The oracle
+    says so at once, while the decider's refutations grow steeply with k on
+    such graphs (W7: 0.07 s at level 3, 18 s at level 4).
 
     None means no representation within the cap; that never asserts
     non-word-representability (the orientation oracle decides that).
@@ -406,15 +407,17 @@ def prn(g: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
     """Minimal concatenation of permutations representing g.
 
     None when g has no transitive orientation (not a comparability graph)
-    or when the required number of permutations exceeds the cap. The count
-    equals the order dimension of the induced poset; the realizer's linear
-    extensions, concatenated, are the certificate. Complete and edgeless
-    graphs get theirs in closed form (``closed_form_prn``) when it is
-    within the cap; past it the search runs, so the cap means the same.
+    or when the required number of permutations exceeds the cap; orient g
+    after a None to tell the two apart. The count equals the order
+    dimension of the induced poset; the realizer's linear extensions,
+    concatenated, are the certificate. Complete and edgeless graphs get
+    ``closed_form_prn`` or None, with no orientation and no realizer.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     rep = closed_form_prn(g)
-    if rep is not None and rep.k <= cap:
-        return rep
+    if rep is not None:
+        return rep if rep.k <= cap else None
     o = find_transitive_orientation(g)
     return None if o is None else prn_of_orientation(o, cap)
 
@@ -551,10 +554,10 @@ def _perm_factors(
     (outer, inner graph) in the DomainError texts."""
     reps = []
     for graph, name in zip((g, h), names):
-        o = find_transitive_orientation(graph)
-        if o is None:
+        rep = prn(graph, cap)
+        if rep is None and find_transitive_orientation(graph) is None:
             raise DomainError(f"{name} is not a comparability graph")
-        reps.append(prn_of_orientation(o, cap))
+        reps.append(rep)
     g_rep, h_rep = reps
     if g_rep is None or h_rep is None:
         raise CapExceeded(f"realizer search capped at k={cap}")

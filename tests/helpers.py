@@ -94,3 +94,27 @@ def atlas_connected(max_n: int, min_n: int = 1) -> tuple[Graph, ...]:
         if min_n <= n <= max_n and nx.is_connected(g):
             out.append(make_graph(n, [(int(u), int(v)) for u, v in g.edges()]))
     return tuple(out)
+
+
+def count_searches(monkeypatch, *modules) -> tuple[list[Graph], list]:
+    """Record every transitive orientation asked for through ``modules`` or
+    ``wordrep.representation`` (its graph), and every ``minimum_realizer``
+    call, which only ``wordrep.representation`` makes (its poset)."""
+    import wordrep.representation as representation
+    from wordrep import find_transitive_orientation, minimum_realizer
+
+    oriented: list[Graph] = []
+    realized: list = []
+
+    def counted_orientation(graph):
+        oriented.append(graph)
+        return find_transitive_orientation(graph)
+
+    def counted_realizer(poset, cap):
+        realized.append(poset)
+        return minimum_realizer(poset, cap)
+
+    for module in (*modules, representation):
+        monkeypatch.setattr(module, "find_transitive_orientation", counted_orientation)
+    monkeypatch.setattr(representation, "minimum_realizer", counted_realizer)
+    return oriented, realized

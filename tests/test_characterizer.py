@@ -17,7 +17,6 @@ from wordrep import (
     induced_subgraph,
     make_graph,
     maximal_modular_partition,
-    minimum_realizer,
     module_comparability_test,
     nonwr_screen,
     poset_of,
@@ -28,7 +27,7 @@ from wordrep import (
 )
 from wordrep.modular import induced_block_graphs
 from wordrep.representation import closed_form_prn, prn_of_orientation
-from helpers import atlas_connected, complete, cone, crown, cycle, empty, path_graph, prism, random_connected_graph, star, wheel
+from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, path_graph, prism, random_connected_graph, star, wheel
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
 
@@ -123,6 +122,22 @@ def test_classify_rejects_disconnected_and_empty():
         classify(make_graph(2, []))
     with pytest.raises(ValueError):
         classify(make_graph(0, []))
+
+
+def test_screen_and_module_test_reject_disconnected_graphs():
+    # the partition they both reach is defined for connected graphs only
+    g = make_graph(4, [(0, 1), (2, 3)])
+    for decide in (nonwr_screen, module_comparability_test):
+        with pytest.raises(ValueError, match="not connected"):
+            decide(g)
+
+
+@pytest.mark.parametrize("word_cap, oracle_edge_cap", [(0, 24), (4, -1)])
+def test_caps_reject_a_word_cap_below_one_and_an_edge_cap_below_zero(word_cap, oracle_edge_cap):
+    # the bounds the CLI enforces on its options, so that no search sees a
+    # cap it has no answer for
+    with pytest.raises(ValueError):
+        Caps(word_cap, oracle_edge_cap)
 
 
 def test_classify_certificate_k_matches_r_number():
@@ -369,7 +384,6 @@ def test_one_partition_per_classify_and_reduced_verify(monkeypatch, g, caps):
 
 def test_clique_and_edgeless_blocks_are_neither_oriented_nor_searched(monkeypatch):
     import wordrep.characterizer as characterizer
-    import wordrep.representation as representation
 
     # C5 with vertex 0 replaced by K12, vertex 2 by an edgeless 12-set and
     # vertex 3 by P4; vertices 1 and 4 stay single
@@ -378,19 +392,7 @@ def test_clique_and_edgeless_blocks_are_neither_oriented_nor_searched(monkeypatc
     g, _, p4_map = substitute(g, 1, path_graph(4))
     p4, _ = induced_subgraph(g, p4_map.values())
     q = maximal_modular_partition(g).quotient
-    oriented, realized = [], []
-
-    def counted_orientation(graph):
-        oriented.append(graph)
-        return find_transitive_orientation(graph)
-
-    def counted_realizer(poset, cap):
-        realized.append(poset)
-        return minimum_realizer(poset, cap)
-
-    for module in (characterizer, representation):
-        monkeypatch.setattr(module, "find_transitive_orientation", counted_orientation)
-    monkeypatch.setattr(representation, "minimum_realizer", counted_realizer)
+    oriented, realized = count_searches(monkeypatch, characterizer)
     verdict = classify(g)
     assert oriented == [p4, q] and q.n == q.m == 5
     assert realized == [poset_of(find_transitive_orientation(p4))]
@@ -405,11 +407,16 @@ def test_clique_and_edgeless_blocks_are_neither_oriented_nor_searched(monkeypatc
             assert closed_form_prn(h) == prn_of_orientation(find_transitive_orientation(h))
 
 
-def test_classify_reduces_to_the_quotient_at_an_edgeless_block_over_the_cap():
-    # prn of the edgeless block is 2, over the word cap of 1: the search
-    # runs as for any block, and the quotient is what is left undecided
+def test_classify_reduces_to_the_quotient_at_an_edgeless_block_over_the_cap(monkeypatch):
+    # prn of the edgeless block is 2, over the word cap of 1: the closed
+    # form says so with no orientation and no realizer, and the quotient is
+    # what is left undecided
+    import wordrep.characterizer as characterizer
+
     g, _, _ = substitute(cycle(5), 0, empty(3))
+    oriented, realized = count_searches(monkeypatch, characterizer)
     verdict = classify(g, Caps(1, 24))
+    assert oriented == realized == []
     assert verdict.status == Status.REDUCED_TO_QUOTIENT
     assert verdict.quotient_ref == cycle(5)
     assert verify(verdict, g)

@@ -15,6 +15,7 @@ from wordrep.io import GraphFileError, format_graph_text, parse_graph_text
 from helpers import (
     complete,
     cone,
+    count_searches,
     cycle,
     path_graph,
     random_connected_graph,
@@ -197,12 +198,18 @@ def test_prn_c5_not_comparability(capsys):
     assert report["certificate"] is None
 
 
-def test_prn_k5(capsys, tmp_path):
+def test_prn_k5(capsys, tmp_path, monkeypatch):
+    # a complete graph gets its certificate in closed form, with no
+    # orientation and no realizer
+    import wordrep.cli as cli
+
     f = tmp_path / "k5.graph"
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     f.write_text(f"5 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    oriented, realized = count_searches(monkeypatch, cli)
     code, report = report_of(capsys, "prn", f)
     assert code == 0 and report["numbers"]["prn"] == 1
+    assert oriented == realized == []
 
 
 # ------------------------------------------------------------------- decompose
@@ -515,6 +522,7 @@ def test_verify_never_exits_70_on_mutated_reports(seed, argv, data):
 
 CHECK_W6 = ("check", FIXTURES / "w6.graph")
 REPNUM_C6_CAP_1 = ("repnum", FIXTURES / "c6.graph", "--cap", "1")
+PRN_C6_CAP_1 = ("prn", FIXTURES / "c6.graph", "--cap", "1")
 
 
 @pytest.mark.parametrize(
@@ -530,6 +538,15 @@ REPNUM_C6_CAP_1 = ("repnum", FIXTURES / "c6.graph", "--cap", "1")
         (REPNUM_C6_CAP_1, lambda report: {**report, "caps": {"word_cap": "1"}}),
         (REPNUM_C6_CAP_1, lambda report: {**report, "caps": {"word_cap": 0}}),
         (REPNUM_C6_CAP_1, lambda report: {**report, "caps": []}),
+        # caps and statuses the CLI never prints
+        (CHECK_W6, lambda report: {**report, "caps": {**report["caps"], "word_cap": 0}}),
+        (CHECK_W6, lambda report: {**report, "caps": {**report["caps"], "oracle_edge_cap": -1}}),
+        (REPNUM_C6_CAP_1, lambda report: {**report, "status": "not-comparability"}),
+        (PRN_C6_CAP_1, lambda report: {**report, "status": "reduced-to-quotient"}),
+        (
+            ("prn", FIXTURES / "c6.graph"),
+            lambda report: {k: v for k, v in report.items() if k != "status"},
+        ),
         (
             ("product", FIXTURES / "k2.graph", FIXTURES / "c6.graph",
              "--op", "substitute", "--at", "0"),
@@ -549,6 +566,8 @@ REPNUM_C6_CAP_1 = ("repnum", FIXTURES / "c6.graph", "--cap", "1")
         "list", "missing-caps", "unknown-cap-key", "check-input-string",
         "check-input-list", "check-witness-strings", "repnum-numbers-list",
         "capped-word-cap-string", "capped-word-cap-zero", "capped-caps-list",
+        "check-word-cap-zero", "check-oracle-cap-negative", "repnum-status-from-prn",
+        "prn-status-from-check", "prn-status-missing",
         "product-graph-file-int", "repnum-r-string", "prn-float", "product-r-string",
     ],
 )
@@ -662,6 +681,30 @@ def test_verify_rejects_check_claims_classify_never_makes(capsys, tmp_path, name
     _, out, _ = run(capsys, "check", FIXTURES / name)
     report_path = write_report(tmp_path, json.dumps(mangle(json.loads(out))))
     vcode, vout, _ = run(capsys, "verify", FIXTURES / name, report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, mangle",
+    [
+        # C5 is not a comparability graph, so no permutational word represents it
+        (("prn", FIXTURES / "c5.graph"), lambda report: {
+            **report, "numbers": {"prn": 3},
+            "certificate": {"word": "0 1 2 3 4 4 3 2 1 0 0 1 2 3 4", "k": 3,
+                            "mode": "permutational"},
+        }),
+        # R(C6) = 2 and prn(C6) = 3, past the cap of 1, so both searches are capped
+        (REPNUM_C6_CAP_1, lambda report: {**report, "numbers": {"r": 2}}),
+        (PRN_C6_CAP_1, lambda report: {**report, "numbers": {"prn": 3}}),
+    ],
+    ids=["prn-not-comparability-with-prn", "repnum-capped-with-r", "prn-capped-with-prn"],
+)
+def test_verify_rejects_a_number_on_a_report_that_is_not_ok(capsys, tmp_path, argv, mangle):
+    # only an ok repnum or prn report carries a number and a certificate
+    _, out, _ = run(capsys, *argv)
+    report_path = write_report(tmp_path, json.dumps(mangle(json.loads(out))))
+    vcode, vout, _ = run(capsys, "verify", argv[1], report_path)
     assert vcode == 1
     assert json.loads(vout)["valid"] is False
 

@@ -27,7 +27,16 @@ from wordrep import (
     uniformity,
     uniformize,
 )
-from helpers import atlas_connected, complete, cycle, path_graph, random_connected_graph, wheel
+from helpers import (
+    atlas_connected,
+    complete,
+    count_searches,
+    cycle,
+    empty,
+    path_graph,
+    random_connected_graph,
+    wheel,
+)
 from oracles import (
     brute_is_semi_transitive,
     brute_rep_number,
@@ -265,6 +274,21 @@ def test_prn_p3_is_two():
 
 def test_prn_cap():
     assert prn(cycle(6), cap=2) is None
+
+
+def test_prn_rejects_a_cap_below_one():
+    # before any search, whether g is a comparability graph (P4) or not (C5)
+    for g in (cycle(5), path_graph(4)):
+        with pytest.raises(ValueError):
+            prn(g, 0)
+
+
+def test_complete_and_edgeless_graphs_are_neither_oriented_nor_searched(monkeypatch):
+    oriented, realized = count_searches(monkeypatch)
+    assert lex_prn(complete(3), complete(2)).k == 1
+    assert prn_composed(complete(2), 0, complete(3)).k == 1
+    assert prn(empty(3), 1) is None  # its prn, 2, is past the cap
+    assert oriented == realized == []
 
 
 def test_prn_matches_direct_concatenation_search():
