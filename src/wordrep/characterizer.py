@@ -257,15 +257,14 @@ def certificate_replays(
     cert: Representation | None, g: Graph, claimed_k: int | None,
     permutational: bool = False,
 ) -> bool:
-    """The certificate's word represents g, at the claimed multiplicity when
-    one is claimed, and the certificate is permutational when that is
-    required. The word was checked against cert.target when cert was built,
-    and a word defines one graph, so comparing the target with g suffices."""
+    """The certificate's word represents g at the claimed multiplicity, read
+    from the word, and the certificate is permutational when that is
+    required; with no claimed number (None) it backs no claim. The word was
+    checked against cert.target when cert was built, and a word defines one
+    graph, so comparing the target with g suffices."""
     if cert is None or (permutational and cert.mode != PERMUTATIONAL):
         return False
-    return cert.target.adj == g.adj and (
-        claimed_k is None or uniformity(cert.word).uniform_k == claimed_k
-    )
+    return cert.target.adj == g.adj and uniformity(cert.word).uniform_k == claimed_k
 
 
 def _numbers_compose(verdict: Verdict) -> bool:
@@ -287,10 +286,12 @@ def verify(
     A word certificate, checked once when it was built, must target g, and
     a composed verdict's numbers must follow from its parts'; a
     non-word-representability witness is re-checked to be a nontrivial
-    module whose induced subgraph admits no transitive orientation; a
-    reduced verdict must name g's quotient, where g is connected, not
-    complete, and has only comparability blocks: classify decides the rest.
-    Replays past the edge cap raise CapExceeded rather than guessing.
+    module whose induced subgraph admits no transitive orientation (one
+    forcing pass, at any size); a reduced verdict must name g's quotient,
+    where g is connected, not complete, and has only comparability blocks:
+    classify decides the rest. Only the oracle replay of a refutation with
+    no witness searches, and past the edge cap it raises CapExceeded rather
+    than guessing.
     """
     if verdict.status in (Status.WORD_REPRESENTABLE, Status.COMPARABILITY):
         if not _numbers_compose(verdict):
@@ -304,14 +305,8 @@ def verify(
     if verdict.status == Status.NOT_WORD_REPRESENTABLE:
         if verdict.witness is not None:
             w = verdict.witness
-            if not (2 <= len(w) < g.n and all(0 <= v < g.n for v in w) and is_module(g, w)):
-                return False
-            sub, _ = induced_subgraph(g, w)
-            if sub.m > replay_edge_cap:
-                raise CapExceeded(
-                    f"witness replay: {sub.m} edges exceed cap {replay_edge_cap}"
-                )
-            return find_transitive_orientation(sub) is None
+            return (2 <= len(w) < g.n and all(0 <= v < g.n for v in w) and is_module(g, w)
+                    and find_transitive_orientation(induced_subgraph(g, w)[0]) is None)
         if g.m > replay_edge_cap:
             raise CapExceeded(
                 f"oracle replay: {g.m} edges exceed cap {replay_edge_cap}"

@@ -256,16 +256,21 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _integer(value) -> bool:
+    """A JSON integer, not true or false: json reads those as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _certificate(cert, g: Graph) -> Representation | None:
     """A report's certificate rebuilt as a Representation of g, or None if
     it does not replay. The constructor is the one check of a report's
     word: certificate_replays then only matches the target with g."""
-    if cert is None:
-        return None
     try:
-        return Representation(word_from_text(cert["word"]), cert["k"], cert["mode"], g)
+        if cert["k"] is None or _integer(cert["k"]):
+            return Representation(word_from_text(cert["word"]), cert["k"], cert["mode"], g)
     except (AttributeError, KeyError, TypeError, ValueError):
-        return None
+        pass
+    return None
 
 
 def _field(report: dict, key: str, kind: type, default=None):
@@ -276,7 +281,7 @@ def _field(report: dict, key: str, kind: type, default=None):
     value = report.get(key)
     if value is None:
         return default
-    if not isinstance(value, kind):
+    if not (_integer(value) if kind is int else isinstance(value, kind)):
         raise TypeError(f"{key!r} must be {kind.__name__}, not {type(value).__name__}")
     return value
 
@@ -289,8 +294,8 @@ def _check_verdict(report: dict, numbers: dict, g: Graph) -> Verdict:
     """
     witness = _field(report, "witness", list)
     block_prns = _field(numbers, "block_prns", list)
-    if not all(isinstance(v, int) for v in (*(witness or ()), *(block_prns or ()))):
-        raise TypeError("'witness' and 'block_prns' must list integers")
+    if not all(map(_integer, (*(witness or ()), *(block_prns or ()), *report["caps"].values()))):
+        raise TypeError("'witness', 'block_prns' and 'caps' must hold integers")
     q = report.get("quotient")
     return Verdict(
         Status(report["status"]),
@@ -379,7 +384,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
                 raise ValueError(f"a {command} report has no status {report.get('status')!r}")
             if report["status"] == "cap-exceeded":
                 word_cap = report["caps"]["word_cap"]
-                if not isinstance(word_cap, int) or word_cap < 1:
+                if not _integer(word_cap) or word_cap < 1:
                     raise ValueError(f"'word_cap' must be a positive int, not {word_cap!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed report: {exc!r}") from None

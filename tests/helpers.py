@@ -45,10 +45,10 @@ def crown(s: int) -> Graph:
     return make_graph(2 * s, [(i, s + j) for i in range(s) for j in range(s) if i != j])
 
 
-def prism() -> Graph:
-    return make_graph(
-        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
-    )
+def prism(n: int = 3) -> Graph:
+    """The prism Pr_n: two n-cycles 0..n-1 and n..2n-1 joined by the rungs i, n + i."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    return make_graph(2 * n, edges + [(n + i, n + (i + 1) % n) for i in range(n)])
 
 
 def two_dimensional_order(seed: int, n: int) -> Graph:

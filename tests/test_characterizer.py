@@ -25,7 +25,7 @@ from wordrep import (
     uniformize,
     verify,
 )
-from wordrep.modular import induced_block_graphs
+from wordrep.modular import induced_block_graphs, lex_product
 from wordrep.representation import closed_form_prn, prn_of_orientation
 from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, path_graph, prism, random_connected_graph, star, wheel
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
@@ -499,6 +499,76 @@ def test_large_inputs_decide_without_recursion_error(name):
     verdict = classify(g)
     assert verdict.status == Status.COMPARABILITY
     assert (verdict.r_number, verdict.prn_number) == (r, prn)
+    assert verify(verdict, g)
+
+
+@pytest.mark.parametrize(
+    "g, witness",
+    [
+        (wheel(25), frozenset(range(1, 26))),
+        (substitute(cycle(5), 0, cycle(25))[0], frozenset(range(4, 29))),
+    ],
+    ids=["w25", "c5-with-c25-for-vertex-0"],
+)
+def test_verify_replays_a_witness_past_the_replay_cap(g, witness):
+    # an odd cycle of 25 edges is no comparability graph; one forcing pass
+    # replays it, so the edge cap, which bounds the oracle replay, does not
+    # apply (the replay used to raise CapExceeded past 24 edges)
+    verdict = classify(g)
+    assert verdict.status == Status.NOT_WORD_REPRESENTABLE
+    assert verdict.witness == witness
+    assert verify(verdict, g)
+    assert verify(verdict, g, replay_edge_cap=0)
+
+
+@pytest.mark.parametrize(
+    "g, field",
+    [(cycle(5), "r_number"), (cycle(6), "r_number"), (cycle(6), "prn_number"),
+     (wheel(6), "prn_number")],
+    ids=["c5-r", "c6-r", "c6-prn", "w6-prn"],
+)
+def test_verify_rejects_a_claim_without_its_number(g, field):
+    # a certificate backs only the number it is claimed at, so no number
+    # claims nothing; these used to verify without a multiplicity check
+    verdict = classify(g)
+    assert verify(verdict, g)
+    assert not verify(dataclasses.replace(verdict, **{field: None}), g)
+
+
+WR, COMP, NOT_WR = Status.WORD_REPRESENTABLE, Status.COMPARABILITY, Status.NOT_WORD_REPRESENTABLE
+NAMED_FAMILIES = {
+    # odd cycles are word-representable but no comparability graphs; even
+    # cycles from C6 on are comparability graphs of orders of dimension 3
+    "c5": (cycle(5), WR, 2, None, None),
+    "c7": (cycle(7), WR, 2, None, None),
+    "c9": (cycle(9), WR, 2, None, None),
+    "c6": (cycle(6), COMP, 2, 3, None),
+    "c8": (cycle(8), COMP, 2, 3, None),
+    # an odd wheel's rim is a module that is no comparability graph
+    "w5": (wheel(5), NOT_WR, None, None, frozenset(range(1, 6))),
+    "w7": (wheel(7), NOT_WR, None, None, frozenset(range(1, 8))),
+    "w9": (wheel(9), NOT_WR, None, None, frozenset(range(1, 10))),
+    "w6": (wheel(6), COMP, 3, 3, None),
+    # prisms Pr3 and Pr5 have R = 3 (Kitaev & Pyatkin 2008); the cube Pr4 is
+    # the 4-crown, the comparability graph of the standard example S4
+    "pr3": (prism(3), WR, 3, None, None),
+    "pr4": (prism(4), COMP, 3, 4, None),
+    "pr5": (prism(5), WR, 3, None, None),
+    # the composition formula R = max(R(quotient), block prns) past brute force
+    "c5-with-4-crown-for-vertex-0": (substitute(cycle(5), 0, crown(4))[0], WR, 4, None, None),
+    "c5-with-pr3-for-vertex-0": (
+        substitute(cycle(5), 0, prism(3))[0], NOT_WR, None, None, frozenset(range(4, 10))
+    ),
+    "lex-c5-4-crown": (lex_product(cycle(5), crown(4))[0], WR, 4, None, None),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_FAMILIES)
+def test_named_families(name):
+    g, status, r, prn, witness = NAMED_FAMILIES[name]
+    verdict = classify(g)
+    assert (verdict.status, verdict.r_number, verdict.prn_number) == (status, r, prn)
+    assert verdict.witness == witness
     assert verify(verdict, g)
 
 

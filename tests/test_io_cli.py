@@ -432,10 +432,24 @@ def test_verify_check_replay_past_replay_cap_exits_2(capsys, tmp_path, graph_tex
     assert code == 1 and report["witness"] == witness
     report_path = write_report(tmp_path, json.dumps(report))
     vcode, vout, verr = run(capsys, "verify", path, report_path, "--replay-cap", edges - 1)
+    if witness is not None:
+        # a witness replays by one forcing pass, which --replay-cap does not bound
+        assert vcode == 0 and json.loads(vout)["valid"] is True
+        return
     assert vcode == 2 and vout == ""
-    replay = "witness" if witness else "oracle"
-    assert verr == f"error: {replay} replay: {edges} edges exceed cap {edges - 1}\n"
+    assert verr == f"error: oracle replay: {edges} edges exceed cap {edges - 1}\n"
     vcode, vout, _ = run(capsys, "verify", path, report_path, "--replay-cap", edges)
+    assert vcode == 0 and json.loads(vout)["valid"] is True
+
+
+def test_verify_replays_a_witness_of_more_edges_than_the_replay_cap(capsys, tmp_path):
+    # the rim of W25 has 25 edges; its replay used to exit 2 past cap 24
+    path = tmp_path / "w25.graph"
+    path.write_text(format_graph_text(wheel(25)))
+    code, report = report_of(capsys, "check", path)
+    assert code == 1 and report["witness"] == list(range(1, 26))
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", path, report_path, "--replay-cap", 0)
     assert vcode == 0 and json.loads(vout)["valid"] is True
 
 
@@ -521,6 +535,7 @@ def test_verify_never_exits_70_on_mutated_reports(seed, argv, data):
 
 
 CHECK_W6 = ("check", FIXTURES / "w6.graph")
+CHECK_K2 = ("check", FIXTURES / "k2.graph")
 REPNUM_C6_CAP_1 = ("repnum", FIXTURES / "c6.graph", "--cap", "1")
 PRN_C6_CAP_1 = ("prn", FIXTURES / "c6.graph", "--cap", "1")
 
@@ -561,6 +576,25 @@ PRN_C6_CAP_1 = ("prn", FIXTURES / "c6.graph", "--cap", "1")
              "--numbers"),
             lambda report: {**report, "numbers": {**report["numbers"], "r": "3"}},
         ),
+        # json reads true as 1, which used to pass for an integer: a K2 report
+        # with r, prn and certificate k true verified, and so did word_cap true
+        (CHECK_K2, lambda report: {
+            **report, "numbers": {**report["numbers"], "r": True, "prn": True},
+            "certificate": {**report["certificate"], "k": True},
+        }),
+        (CHECK_K2, lambda report: {**report, "caps": {**report["caps"], "word_cap": True}}),
+        (CHECK_W6, lambda report: {**report, "caps": {**report["caps"], "oracle_edge_cap": False}}),
+        (CHECK_W6, lambda report: {**report, "numbers": {**report["numbers"], "quotient_r": True}}),
+        (CHECK_W6, lambda report: {**report, "numbers": {**report["numbers"], "block_prns": [True, 3]}}),
+        (("check", FIXTURES / "w5.graph"), lambda report: {**report, "witness": [True, 2, 3, 4, 5]}),
+        (("repnum", FIXTURES / "k2.graph"), lambda report: {**report, "numbers": {"r": True}}),
+        (("prn", FIXTURES / "k2.graph"), lambda report: {**report, "numbers": {"prn": True}}),
+        (REPNUM_C6_CAP_1, lambda report: {**report, "caps": {"word_cap": True}}),
+        (
+            ("product", FIXTURES / "k2.graph", FIXTURES / "k2.graph", "--op", "lex",
+             "--numbers"),
+            lambda report: {**report, "numbers": {**report["numbers"], "r": True}},
+        ),
     ],
     ids=[
         "list", "missing-caps", "unknown-cap-key", "check-input-string",
@@ -569,6 +603,9 @@ PRN_C6_CAP_1 = ("prn", FIXTURES / "c6.graph", "--cap", "1")
         "check-word-cap-zero", "check-oracle-cap-negative", "repnum-status-from-prn",
         "prn-status-from-check", "prn-status-missing",
         "product-graph-file-int", "repnum-r-string", "prn-float", "product-r-string",
+        "check-k2-numbers-true", "check-k2-word-cap-true", "check-oracle-cap-false",
+        "check-quotient-r-true", "check-block-prns-true", "check-witness-true",
+        "repnum-k2-r-true", "prn-k2-prn-true", "capped-word-cap-true", "product-r-true",
     ],
 )
 def test_verify_malformed_report_exits_64(capsys, tmp_path, argv, mangle):
@@ -705,6 +742,49 @@ def test_verify_rejects_a_number_on_a_report_that_is_not_ok(capsys, tmp_path, ar
     _, out, _ = run(capsys, *argv)
     report_path = write_report(tmp_path, json.dumps(mangle(json.loads(out))))
     vcode, vout, _ = run(capsys, "verify", argv[1], report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
+LEX_K2_C6 = ("product", FIXTURES / "k2.graph", FIXTURES / "c6.graph", "--op", "lex",
+             "--numbers", "--out", "lex.graph")
+
+
+@pytest.mark.parametrize(
+    "argv, mangle",
+    [
+        (("check", FIXTURES / "c5.graph"),
+         lambda report: {**report, "numbers": {**report["numbers"], "r": None}}),
+        (("repnum", FIXTURES / "c6.graph"), lambda report: {**report, "numbers": {"r": None}}),
+        (("prn", FIXTURES / "c6.graph"), lambda report: {**report, "numbers": {"prn": None}}),
+        # the certificate stays, with no number for it to back
+        (LEX_K2_C6, lambda report: {**report, "numbers": {**report["numbers"], "r": None}}),
+    ],
+    ids=["check-c5-r-null", "repnum-c6-r-null", "prn-c6-prn-null", "product-lex-r-null"],
+)
+def test_verify_rejects_a_positive_claim_without_its_number(
+    capsys, tmp_path, monkeypatch, argv, mangle
+):
+    # a certificate backs a claim only at the number claimed; with the number
+    # null these reports used to verify (exit 0)
+    monkeypatch.chdir(tmp_path)
+    target = argv[-1] if "--out" in argv else argv[1]
+    _, out, _ = run(capsys, *argv)
+    for report, code in ((json.loads(out), 0), (mangle(json.loads(out)), 1)):
+        report_path = write_report(tmp_path, json.dumps(report))
+        vcode, vout, _ = run(capsys, "verify", target, report_path)
+        assert vcode == code
+        assert json.loads(vout)["valid"] is (code == 0)
+
+
+@pytest.mark.parametrize("command", ["check", "repnum", "prn"])
+def test_verify_rejects_a_certificate_whose_k_is_a_boolean(capsys, tmp_path, command):
+    # K2's certificate is 1-uniform, and json reads true as 1
+    _, out, _ = run(capsys, command, FIXTURES / "k2.graph")
+    report = json.loads(out)
+    report["certificate"]["k"] = True
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", FIXTURES / "k2.graph", report_path)
     assert vcode == 1
     assert json.loads(vout)["valid"] is False
 
