@@ -6,12 +6,15 @@ shortcut is a directed path v1 -> v2 -> ... -> vk (k >= 4) closed by the arc
 v1 -> vk in which some intermediate pair is a non-edge or is oriented
 against the path. Checking one orientation is polynomial: an acyclic one has
 no shortcut iff the vertices on the directed paths of each arc induce a
-transitive orientation (see ``_semi_transitive``). The search for one places
-vertices one at a time and drops a branch as soon as the placed vertices
-carry a cycle or a shortcut; it is still exponential in the worst case and is
-guarded by an edge-count cap. Every reachability question here, for
-orientations and for the realizer search over linear extensions, is answered
-by one descendant-mask closure (``_closure``).
+transitive orientation (see ``_place``). The search for one places vertices
+one at a time and drops a branch as soon as the placed vertices carry a
+cycle or a shortcut; it is still exponential in the worst case and is
+guarded by an edge-count cap. Its reachability masks grow with each placed
+vertex: only the new vertex's row and column, the cycles through it and the
+intervals it joins are new (``_place``), and ``is_semi_transitive`` places
+the vertices of one orientation the same way. The realizer search over
+linear extensions starts each slot from one descendant-mask closure
+(``_closure``).
 """
 
 from __future__ import annotations
@@ -78,51 +81,82 @@ def _closure(n: int, succ: list[int]) -> list[int]:
     return desc
 
 
-def _semi_transitive(n: int, succ: list[int]) -> bool:
-    """True iff the arc digraph is acyclic and has no shortcut.
+def _place(
+    v: int, out: int, into: int, succ: list[int], desc: list[int], anc: list[int]
+) -> tuple[list[int], list[int]] | None:
+    """Add vertex v, with arcs to the vertices in ``out`` and from those in
+    ``into``, to a semi-transitive orientation of the vertices placed before
+    it, whose descendant and ancestor masks are ``desc`` and ``anc``.
+    ``succ`` already holds v's arcs. Returns new masks with v placed, or
+    None if v closes a cycle or a shortcut.
 
-    The interval of an arc u -> v is u, v and every vertex on a directed
-    u-v path: desc[u] & anc[v] | u | v. Lemma: an acyclic orientation has no
+    The interval of an arc a -> b is a, b and every vertex on a directed
+    a-b path: desc[a] & anc[b] | a | b. Lemma: an acyclic orientation has no
     shortcut iff every interval is transitively oriented, that is, whenever
-    a reaches b inside it, a -> b is an arc.
+    x reaches y inside it, x -> y is an arc.
 
     Proof. A path that starts in an interval reaches only vertices of that
     interval, so a shortcut's path lies inside the interval of its closing
-    arc and breaks the condition there. Conversely, take a pair a, b in the
-    interval of u -> v where a reaches b but a -> b is not an arc. Then
-    u ~> a ~> b ~> v is a directed path (acyclic, so it repeats no vertex).
-    It has at least four vertices, because a ~> b is not one arc and
-    (a, b) != (u, v). It is closed by u -> v and misses a -> b, so it is a
+    arc and breaks the condition there. Conversely, take a pair x, y in the
+    interval of a -> b where x reaches y but x -> y is not an arc. Then
+    a ~> x ~> y ~> b is a directed path (acyclic, so it repeats no vertex).
+    It has at least four vertices, because x ~> y is not one arc and
+    (x, y) != (a, b). It is closed by a -> b and misses x -> y, so it is a
     shortcut.
 
-    An arc with fewer than two vertices strictly inside its interval is
-    skipped: its interval is {u, v}, or {u, a, v} where the paths u ~> a and
-    a ~> v, which stay inside it, are the arcs u -> a and a -> v; both are
-    transitive. The check costs O(m n) mask operations after the O(n^2)
-    closure.
+    Why one step decides. Every path that is new passes through v. So a new
+    cycle runs v -> w ~> u -> v with w in out and u in into: it exists iff
+    dv & av, where dv is out with its descendants and av is into with its
+    ancestors. Otherwise the new paths are x ~> v ~> y with x in av | v and
+    y in dv | v, which is all the masks gain. An interval without v has no
+    new vertex and no new reach, since either would put v on an a-b path,
+    and no new arc, so it stays transitive, as the placed vertices were
+    semi-transitive; only the arcs a -> b with a in av | v and b in dv | v
+    can fail, and only they are checked. An arc with fewer than two
+    vertices strictly inside its interval is skipped: its interval is
+    {a, b}, or {a, x, b} where the paths a ~> x and x ~> b, which stay
+    inside it, are the arcs a -> x and x -> b; both are transitive.
     """
-    desc = _closure(n, succ)
-    if any(desc[v] >> v & 1 for v in range(n)):
-        return False
-    anc = [0] * n
-    for v in range(n):
-        for w in iter_bits(desc[v]):
-            anc[w] |= 1 << v
-    for u in range(n):
-        for v in iter_bits(succ[u]):
-            inner = desc[u] & anc[v]
+    bit = 1 << v
+    dv = av = 0
+    for w in iter_bits(out):
+        dv |= desc[w] | 1 << w
+    for u in iter_bits(into):
+        av |= anc[u] | 1 << u
+    if dv & av:  # a cycle; the interval check would find it too, after the copies
+        return None
+    desc, anc = desc[:], anc[:]
+    for x in iter_bits(av):
+        desc[x] |= bit | dv
+    for y in iter_bits(dv):
+        anc[y] |= bit | av
+    desc[v], anc[v] = dv, av
+    for a in iter_bits(av | bit):
+        for b in iter_bits(succ[a] & (dv | bit)):
+            inner = desc[a] & anc[b]
             if not inner & (inner - 1):  # fewer than two inner vertices
                 continue
-            interval = inner | (1 << u) | (1 << v)
-            for a in iter_bits(interval):
-                if desc[a] & interval & ~succ[a]:
-                    return False
-    return True
+            interval = inner | (1 << a) | (1 << b)
+            for x in iter_bits(interval):
+                if desc[x] & interval & ~succ[x]:
+                    return None
+    return desc, anc
 
 
 def is_semi_transitive(o: Orientation) -> bool:
-    """True iff the orientation is acyclic and has no shortcut."""
-    return _semi_transitive(o.base.n, o.succ_masks())
+    """True iff the orientation is acyclic and has no shortcut: ``_place``
+    adds the vertices 0, 1, ..., n - 1 in turn."""
+    n, succ = o.base.n, o.succ_masks()
+    pred = [0] * n
+    for x, y in o.arcs:
+        pred[y] |= 1 << x
+    masks: tuple[list[int], list[int]] | None = ([0] * n, [0] * n)
+    for v in range(n):
+        placed = (1 << v) - 1
+        masks = _place(v, succ[v] & placed, pred[v] & placed, succ, *masks)
+        if masks is None:
+            return False
+    return True
 
 
 def placement_order(g: Graph) -> list[tuple[int, int]]:
@@ -156,8 +190,8 @@ def exists_semi_transitive_orientation(
     vertex v tries every direction of its arcs to its placed neighbours,
     given as the set of them that v points to, and a branch is cut as soon
     as the orientation on the placed vertices has a directed cycle or a
-    shortcut, found by ``_semi_transitive``. Graphs with more than
-    ``max_edges`` edges are refused.
+    shortcut, found by ``_place``. Graphs with more than ``max_edges`` edges
+    are refused.
 
     Why the cut is exact. Placing a vertex adds arcs at that vertex only: it
     never changes a placed arc, and two placed vertices stay adjacent or
@@ -184,6 +218,8 @@ def exists_semi_transitive_orientation(
     steps = placement_order(g)
     succ = [0] * g.n
     out = [-1] * g.n  # per step: the placed neighbours v points to, -1 untried
+    # per step: the descendant and ancestor masks of the vertices before it
+    masks = [([0] * g.n, [0] * g.n)] * (g.n + 1)
     i = 0
     while i < g.n:
         v, below = steps[i]
@@ -204,9 +240,12 @@ def exists_semi_transitive_orientation(
         else:
             out[i] = (out[i] - 1) & below
         succ[v] = out[i]
-        for w in iter_bits(below & ~out[i]):
+        into = below & ~out[i]
+        for w in iter_bits(into):
             succ[w] |= 1 << v
-        if _semi_transitive(g.n, succ):
+        placed = _place(v, out[i], into, succ, *masks[i])
+        if placed:
+            masks[i + 1] = placed
             i += 1
     return True
 

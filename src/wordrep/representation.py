@@ -78,7 +78,7 @@ u -> c are new; a path into c cannot leave it, so the intervals of older
 arcs stay as they were. ``anc[c]``, the seen letters with a path to c, is
 written once at c's first occurrence and stays valid until the search
 backtracks past it; each arc u -> c then gets the interval check of
-``orientations._semi_transitive``.
+``orientations._place``.
 
 All three cuts reject only unfinishable prefixes, so the search remains
 exhaustive; the test suite checks it against an unpruned enumeration on

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from pathlib import Path
 
 from wordrep import Graph, make_graph
 
@@ -118,3 +119,16 @@ def count_searches(monkeypatch, *modules) -> tuple[list[Graph], list]:
         monkeypatch.setattr(module, "find_transitive_orientation", counted_orientation)
     monkeypatch.setattr(representation, "minimum_realizer", counted_realizer)
     return oriented, realized
+
+
+def graph6_graphs(path: Path) -> list[Graph]:
+    """The graphs of a file with one graph6 line per graph of at most 62
+    vertices: chr(n + 63), then the upper triangle of the adjacency matrix
+    column by column, six bits to a character, each offset by 63."""
+    out = []
+    for line in path.read_text(encoding="ascii").split():
+        n = ord(line[0]) - 63
+        bits = "".join(format(ord(c) - 63, "06b") for c in line[1:])
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        out.append(make_graph(n, [p for p, b in zip(pairs, bits) if b == "1"]))
+    return out

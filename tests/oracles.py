@@ -9,7 +9,8 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from wordrep import Graph, all_modules, represents
-from wordrep.orientations import Orientation, Poset, is_transitive
+from wordrep.graphs import iter_bits
+from wordrep.orientations import Orientation, Poset, is_transitive, placement_order
 from wordrep.words import Word
 
 
@@ -86,6 +87,69 @@ def brute_is_semi_transitive(o: Orientation) -> bool:
 
 def brute_exists_semi_transitive(g: Graph) -> bool:
     return any(brute_is_semi_transitive(o) for o in all_orientations(g))
+
+
+def _full_closure_semi_transitive(n: int, succ: list[int]) -> bool:
+    """Acyclic and shortcut-free, from scratch: a Warshall closure over
+    every vertex, ancestors by transposition, then every arc's interval
+    (desc[u] & anc[v] | u | v) must be transitively oriented."""
+    desc = list(succ)
+    for k in range(n):
+        bit, dk = 1 << k, desc[k]
+        if dk:
+            desc = [d | dk if d & bit else d for d in desc]
+    if any(desc[v] >> v & 1 for v in range(n)):
+        return False
+    anc = [0] * n
+    for v in range(n):
+        for w in iter_bits(desc[v]):
+            anc[w] |= 1 << v
+    for u in range(n):
+        for v in iter_bits(succ[u]):
+            inner = desc[u] & anc[v]
+            if not inner & (inner - 1):  # fewer than two inner vertices
+                continue
+            interval = inner | (1 << u) | (1 << v)
+            for a in iter_bits(interval):
+                if desc[a] & interval & ~succ[a]:
+                    return False
+    return True
+
+
+def reference_semi_transitive_search(g: Graph) -> bool:
+    """The orientation search with a full check at every node: the same
+    placement order, choices and cuts as the library's oracle, but each node
+    recomputes the closure of the placed vertices and re-checks every arc's
+    interval, with no masks carried from one node to the next. No edge
+    cap."""
+    steps = placement_order(g)
+    succ = [0] * g.n
+    out = [-1] * g.n  # per step: the placed neighbours v points to, -1 untried
+    i = 0
+    while i < g.n:
+        v, below = steps[i]
+        if out[i] >= 0:  # take the last choice back
+            succ[v] = 0
+            for w in iter_bits(below & ~out[i]):
+                succ[w] &= ~(1 << v)
+        if out[i] == 0:  # every choice failed
+            if not below:
+                return False
+            out[i] = -1
+            i -= 1
+            continue
+        if out[i] < 0:
+            # a component's second vertex (the step after one with no placed
+            # neighbour) takes only the arc from the first
+            out[i] = below if i and steps[i - 1][1] else 0
+        else:
+            out[i] = (out[i] - 1) & below
+        succ[v] = out[i]
+        for w in iter_bits(below & ~out[i]):
+            succ[w] |= 1 << v
+        if _full_closure_semi_transitive(g.n, succ):
+            i += 1
+    return True
 
 
 def _overlap(a: frozenset, b: frozenset) -> bool:

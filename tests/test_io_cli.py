@@ -416,14 +416,24 @@ def test_verify_cap_exceeded_replay_past_replay_cap_exits_2(capsys, tmp_path):
 W5_PENDANT = "7 11\n0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n1 5\n2 3\n3 4\n4 5\n1 6\n"
 
 
+def test_verify_replays_a_witness_at_any_replay_cap(capsys, tmp_path):
+    # a witness replays by one forcing pass, which --replay-cap does not bound:
+    # W5's rim has 5 edges, replayed at cap 4
+    path = FIXTURES / "w5.graph"
+    code, report = report_of(capsys, "check", path)
+    assert code == 1 and report["witness"] == [1, 2, 3, 4, 5]
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", path, report_path, "--replay-cap", 4)
+    assert vcode == 0 and json.loads(vout)["valid"] is True
+
+
 @pytest.mark.parametrize(
     "graph_text, witness, edges",
     [
-        ((FIXTURES / "w5.graph").read_text(), [1, 2, 3, 4, 5], 5),
         # prime, so no module witness: the replay reruns the oracle on all 11 edges
         (W5_PENDANT, None, 11),
     ],
-    ids=["witness-w5", "oracle-w5-pendant"],
+    ids=["oracle-w5-pendant"],
 )
 def test_verify_check_replay_past_replay_cap_exits_2(capsys, tmp_path, graph_text, witness, edges):
     path = tmp_path / "g.graph"
@@ -432,10 +442,6 @@ def test_verify_check_replay_past_replay_cap_exits_2(capsys, tmp_path, graph_tex
     assert code == 1 and report["witness"] == witness
     report_path = write_report(tmp_path, json.dumps(report))
     vcode, vout, verr = run(capsys, "verify", path, report_path, "--replay-cap", edges - 1)
-    if witness is not None:
-        # a witness replays by one forcing pass, which --replay-cap does not bound
-        assert vcode == 0 and json.loads(vout)["valid"] is True
-        return
     assert vcode == 2 and vout == ""
     assert verr == f"error: oracle replay: {edges} edges exceed cap {edges - 1}\n"
     vcode, vout, _ = run(capsys, "verify", path, report_path, "--replay-cap", edges)

@@ -1,5 +1,6 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from wordrep import (
     alternation_graph,
     exists_semi_transitive_orientation,
     find_transitive_orientation,
+    is_connected,
     is_semi_transitive,
     is_transitive,
     make_graph,
@@ -18,14 +20,25 @@ from wordrep import (
     poset_dimension,
     poset_of,
 )
-from wordrep.orientations import Orientation, Poset
-from helpers import atlas_connected, complete, crown, cycle, path_graph, random_graph, wheel
+from wordrep.graphs import iter_bits
+from wordrep.orientations import Orientation, Poset, _closure, _place
+from helpers import (
+    atlas_connected,
+    complete,
+    crown,
+    cycle,
+    graph6_graphs,
+    path_graph,
+    random_graph,
+    wheel,
+)
 from oracles import (
     all_orientations,
     brute_exists_semi_transitive,
     brute_has_transitive_orientation,
     brute_is_semi_transitive,
     reference_realizer,
+    reference_semi_transitive_search,
 )
 
 
@@ -184,6 +197,19 @@ def test_oracle_refutes_exactly_the_26_atlas_graphs():
     assert (refuted.count(6), refuted.count(7), len(refuted)) == (1, 25, 26)
 
 
+def test_oracle_refutes_929_of_the_11117_connected_8_vertex_graphs():
+    # Kitaev, DLT 2017: 929 of the 11,117 connected graphs on 8 vertices are
+    # not word-representable. The list is regenerated by tests/make_atlas8.py;
+    # the nine graphs with more than 24 edges all have semi-transitive
+    # orientations, and the cap is raised to 28 so that they are searched too
+    graphs = graph6_graphs(Path(__file__).resolve().parent / "atlas8.g6")
+    assert len(graphs) == 11_117 and len(set(graphs)) == 11_117
+    assert all(g.n == 8 and is_connected(g) for g in graphs)
+    assert max(g.m for g in graphs) == 28 and sum(g.m > 24 for g in graphs) == 9
+    refuted = [g for g in graphs if not exists_semi_transitive_orientation(g, max_edges=28)]
+    assert len(refuted) == 929 and max(g.m for g in refuted) <= 24
+
+
 @st.composite
 def small_graphs(draw):
     # connected or not, at most 7 vertices and 12 edges; some start from a
@@ -256,6 +282,66 @@ def test_oracle_on_disconnected_graphs():
     assert exists_semi_transitive_orientation(c5_k1)
     assert exists_semi_transitive_orientation(two_c5)
     assert exists_semi_transitive_orientation(make_graph(3, []))
+
+
+def test_oracle_equals_the_full_closure_search():
+    # carrying reachability masks from node to node keeps every answer of
+    # the same search with a from-scratch check at each node: all connected
+    # atlas graphs on at most 7 vertices, seeded random graphs with at most
+    # 24 edges, and W5 or W7 plus random vertices, which are all refuted
+    rng = random.Random(22)
+    graphs = list(atlas_connected(7, min_n=2))
+    for _ in range(300):
+        n = rng.randint(5, 11)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(make_graph(n, rng.sample(pairs, rng.randint(1, min(24, len(pairs))))))
+    wheels = []
+    for _ in range(60):
+        rim = rng.choice((5, 7))
+        n = rim + 1 + rng.randint(1, 4)
+        edges = list(wheel(rim).edges)
+        for v in range(rim + 1, n):
+            edges += [(u, v) for u in range(v) if rng.random() < 0.3]
+        wheels.append(make_graph(n, edges))
+    answers = [exists_semi_transitive_orientation(g, max_edges=g.m) for g in graphs + wheels]
+    assert answers == [reference_semi_transitive_search(g) for g in graphs + wheels]
+    assert not any(answers[len(graphs):])
+    assert answers.count(False) > 26 + len(wheels)  # the atlas has 26
+
+
+def test_placement_step_matches_the_definition_at_every_prefix():
+    # seeded random orientations, cyclic ones included, placed one vertex at
+    # a time in a random order: the step refuses a vertex exactly when the
+    # prefix up to it stops being semi-transitive (the property is
+    # hereditary, so it never comes back), and while it accepts, its masks
+    # are the prefix's closure (descendants) and its transpose (ancestors)
+    rng = random.Random(23)
+    for _ in range(3000):
+        n = rng.randint(2, 8)
+        g = random_graph(rng, n, rng.random())
+        rank = rng.sample(range(n), n)
+        flip = rng.choice((0.0, 0.05, 0.2, 0.5))
+        arcs = [
+            (u, v) if (rank[u] < rank[v]) != (rng.random() < flip) else (v, u)
+            for u, v in g.edges
+        ]
+        succ, pred = [0] * n, [0] * n
+        for x, y in arcs:
+            succ[x] |= 1 << y
+            pred[y] |= 1 << x
+        masks: tuple[list[int], list[int]] | None = ([0] * n, [0] * n)
+        placed = 0
+        for v in rng.sample(range(n), n):
+            if masks is not None:
+                masks = _place(v, succ[v] & placed, pred[v] & placed, succ, *masks)
+            placed |= 1 << v
+            prefix = [s & placed if placed >> x & 1 else 0 for x, s in enumerate(succ)]
+            sub = Orientation(g, frozenset((x, y) for x in range(n) for y in iter_bits(prefix[x])))
+            assert (masks is not None) == brute_is_semi_transitive(sub), (arcs, v)
+            if masks is not None:
+                desc = _closure(n, prefix)
+                anc = [sum(1 << x for x in range(n) if desc[x] >> y & 1) for y in range(n)]
+                assert masks == (desc, anc)
 
 
 def test_oracle_refuses_past_edge_cap():
