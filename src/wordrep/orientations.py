@@ -9,17 +9,19 @@ no shortcut iff the vertices on the directed paths of each arc induce a
 transitive orientation (see ``_place``). The search for one places vertices
 one at a time and drops a branch as soon as the placed vertices carry a
 cycle or a shortcut; it is still exponential in the worst case and is
-guarded by an edge-count cap. Its reachability masks grow with each placed
-vertex: only the new vertex's row and column, the cycles through it and the
-intervals it joins are new (``_place``), and ``is_semi_transitive`` places
-the vertices of one orientation the same way. The realizer search over
-linear extensions starts each slot from one descendant-mask closure
+guarded by an edge-count cap. It keeps reachability masks only, which grow
+with each placed vertex: only the new vertex's row and column, the cycles
+through it and the intervals it joins are new, and each arc's direction is
+read off the graph's neighbour masks (``_place``). ``is_semi_transitive``
+places the vertices of one orientation the same way. The realizer search
+over linear extensions starts each slot from one descendant-mask closure
 (``_closure``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import CapExceeded
 from .graphs import Graph, iter_bits
@@ -82,12 +84,12 @@ def _closure(n: int, succ: list[int]) -> list[int]:
 
 
 def _place(
-    v: int, out: int, into: int, succ: list[int], desc: list[int], anc: list[int]
+    v: int, out: int, into: int, adj: Sequence[int], desc: list[int], anc: list[int]
 ) -> tuple[list[int], list[int]] | None:
     """Add vertex v, with arcs to the vertices in ``out`` and from those in
     ``into``, to a semi-transitive orientation of the vertices placed before
-    it, whose descendant and ancestor masks are ``desc`` and ``anc``.
-    ``succ`` already holds v's arcs. Returns new masks with v placed, or
+    it, whose descendant and ancestor masks are ``desc`` and ``anc``; ``adj``
+    holds the graph's neighbour masks. Returns new masks with v placed, or
     None if v closes a cycle or a shortcut.
 
     The interval of an arc a -> b is a, b and every vertex on a directed
@@ -116,6 +118,11 @@ def _place(
     vertices strictly inside its interval is skipped: its interval is
     {a, b}, or {a, x, b} where the paths a ~> x and x ~> b, which stay
     inside it, are the arcs a -> x and x -> b; both are transitive.
+
+    Why neighbour masks suffice. Arcs are read only after the cycle test,
+    so the orientation is acyclic, and only from a to the b in dv | v, which
+    a reaches through v, and from x to desc[x]: pairs where x reaches y. An
+    edge xy is then the arc x -> y, since y -> x would close a cycle.
     """
     bit = 1 << v
     dv = av = 0
@@ -132,13 +139,13 @@ def _place(
         anc[y] |= bit | av
     desc[v], anc[v] = dv, av
     for a in iter_bits(av | bit):
-        for b in iter_bits(succ[a] & (dv | bit)):
+        for b in iter_bits(adj[a] & (dv | bit)):
             inner = desc[a] & anc[b]
             if not inner & (inner - 1):  # fewer than two inner vertices
                 continue
             interval = inner | (1 << a) | (1 << b)
             for x in iter_bits(interval):
-                if desc[x] & interval & ~succ[x]:
+                if desc[x] & interval & ~adj[x]:
                     return None
     return desc, anc
 
@@ -146,14 +153,12 @@ def _place(
 def is_semi_transitive(o: Orientation) -> bool:
     """True iff the orientation is acyclic and has no shortcut: ``_place``
     adds the vertices 0, 1, ..., n - 1 in turn."""
-    n, succ = o.base.n, o.succ_masks()
-    pred = [0] * n
-    for x, y in o.arcs:
-        pred[y] |= 1 << x
+    n, adj, succ = o.base.n, o.base.adj, o.succ_masks()
     masks: tuple[list[int], list[int]] | None = ([0] * n, [0] * n)
     for v in range(n):
         placed = (1 << v) - 1
-        masks = _place(v, succ[v] & placed, pred[v] & placed, succ, *masks)
+        into = adj[v] & placed & ~succ[v]
+        masks = _place(v, succ[v] & placed, into, adj, *masks)
         if masks is None:
             return False
     return True
@@ -216,17 +221,12 @@ def exists_semi_transitive_orientation(
             f"{g.m} edges exceed the orientation-enumeration cap {max_edges}"
         )
     steps = placement_order(g)
-    succ = [0] * g.n
     out = [-1] * g.n  # per step: the placed neighbours v points to, -1 untried
     # per step: the descendant and ancestor masks of the vertices before it
     masks = [([0] * g.n, [0] * g.n)] * (g.n + 1)
     i = 0
     while i < g.n:
         v, below = steps[i]
-        if out[i] >= 0:  # take the last choice back
-            succ[v] = 0
-            for w in iter_bits(below & ~out[i]):
-                succ[w] &= ~(1 << v)
         if out[i] == 0:  # every choice failed
             if not below:
                 return False
@@ -239,11 +239,7 @@ def exists_semi_transitive_orientation(
             out[i] = below if i and steps[i - 1][1] else 0
         else:
             out[i] = (out[i] - 1) & below
-        succ[v] = out[i]
-        into = below & ~out[i]
-        for w in iter_bits(into):
-            succ[w] |= 1 << v
-        placed = _place(v, out[i], into, succ, *masks[i])
+        placed = _place(v, out[i], below & ~out[i], g.adj, *masks[i])
         if placed:
             masks[i + 1] = placed
             i += 1

@@ -78,7 +78,9 @@ u -> c are new; a path into c cannot leave it, so the intervals of older
 arcs stay as they were. ``anc[c]``, the seen letters with a path to c, is
 written once at c's first occurrence and stays valid until the search
 backtracks past it; each arc u -> c then gets the interval check of
-``orientations._place``.
+``orientations._place``, written out for a sink, which changes only its own
+ancestor mask, where ``_place`` copies both mask lists and updates the
+descendants of every ancestor.
 
 All three cuts reject only unfinishable prefixes, so the search remains
 exhaustive; the test suite checks it against an unpruned enumeration on

@@ -52,6 +52,13 @@ def prism(n: int = 3) -> Graph:
     return make_graph(2 * n, edges + [(n + i, n + (i + 1) % n) for i in range(n)])
 
 
+def petersen() -> Graph:
+    """The Petersen graph: the 5-cycle 0..4, the pentagram 5..9 (i joined to
+    i + 2), and the spokes i, 5 + i."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+    return make_graph(10, edges + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def two_dimensional_order(seed: int, n: int) -> Graph:
     """Comparability graph of a seeded random order of dimension at most 2.
 

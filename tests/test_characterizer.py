@@ -13,6 +13,7 @@ from wordrep import (
     Verdict,
     classify,
     exists_semi_transitive_orientation,
+    exists_word,
     find_transitive_orientation,
     induced_subgraph,
     make_graph,
@@ -27,7 +28,7 @@ from wordrep import (
 )
 from wordrep.modular import induced_block_graphs, lex_product
 from wordrep.representation import closed_form_prn, prn_of_orientation
-from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, path_graph, prism, random_connected_graph, star, wheel
+from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, path_graph, petersen, prism, random_connected_graph, star, wheel
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
 
@@ -570,6 +571,20 @@ def test_named_families(name):
     assert (verdict.status, verdict.r_number, verdict.prn_number) == (status, r, prn)
     assert verdict.witness == witness
     assert verify(verdict, g)
+
+
+@pytest.mark.parametrize(
+    "g", [petersen(), prism(6), prism(7), prism(8)], ids=["petersen", "pr6", "pr7", "pr8"]
+)
+def test_named_families_at_the_oracle_and_the_decider(g):
+    # R = 3 (Kitaev & Pyatkin 2008 for prisms, Kitaev & Lozin 2015 for the
+    # Petersen graph). The oracle and the decider settle these in
+    # milliseconds, while classify spends seconds to minutes in the letter
+    # search for the certificate, so they are not in NAMED_FAMILIES yet
+    assert g.m == 3 * g.n // 2
+    assert exists_semi_transitive_orientation(g)
+    assert not exists_word(g, 2)
+    assert exists_word(g, 3)
 
 
 @st.composite

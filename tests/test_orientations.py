@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from pathlib import Path
@@ -208,6 +209,14 @@ def test_oracle_refutes_929_of_the_11117_connected_8_vertex_graphs():
     assert max(g.m for g in graphs) == 28 and sum(g.m > 24 for g in graphs) == 9
     refuted = [g for g in graphs if not exists_semi_transitive_orientation(g, max_edges=28)]
     assert len(refuted) == 929 and max(g.m for g in refuted) <= 24
+    # which 929, not only how many: the SHA-256 of the 0-based line numbers
+    # of the refuted graphs in atlas8.g6, ascending, written in decimal and
+    # joined by single spaces
+    refuted_set = set(refuted)
+    lines = " ".join(str(i) for i, g in enumerate(graphs) if g in refuted_set)
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "105145eb794d1197aba827169abbe0cc540eec95e943b32f0226a56df745eb89"
+    )
 
 
 @st.composite
@@ -314,7 +323,9 @@ def test_placement_step_matches_the_definition_at_every_prefix():
     # a time in a random order: the step refuses a vertex exactly when the
     # prefix up to it stops being semi-transitive (the property is
     # hereditary, so it never comes back), and while it accepts, its masks
-    # are the prefix's closure (descendants) and its transpose (ancestors)
+    # are the prefix's closure (descendants) and its transpose (ancestors).
+    # The step reads arcs off the graph's neighbour masks; given the
+    # orientation's successor masks instead, it returns the same result
     rng = random.Random(23)
     for _ in range(3000):
         n = rng.randint(2, 8)
@@ -333,7 +344,10 @@ def test_placement_step_matches_the_definition_at_every_prefix():
         placed = 0
         for v in rng.sample(range(n), n):
             if masks is not None:
-                masks = _place(v, succ[v] & placed, pred[v] & placed, succ, *masks)
+                step = (v, succ[v] & placed, pred[v] & placed)
+                by_adj = _place(*step, g.adj, *masks)
+                assert by_adj == _place(*step, succ, *masks), (arcs, v)
+                masks = by_adj
             placed |= 1 << v
             prefix = [s & placed if placed >> x & 1 else 0 for x, s in enumerate(succ)]
             sub = Orientation(g, frozenset((x, y) for x in range(n) for y in iter_bits(prefix[x])))
