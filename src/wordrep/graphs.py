@@ -1,4 +1,9 @@
-"""Immutable simple graphs on integer vertices 0..n-1, plus set-level predicates."""
+"""Immutable simple graphs on integer vertices 0..n-1, plus set-level predicates.
+
+A graph is stored as its neighbour bitmasks, the one form every search
+reads; its edge set is built from them on demand. Construct graphs with
+``make_graph``.
+"""
 
 from __future__ import annotations
 
@@ -22,26 +27,26 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """A finite simple undirected graph.
 
-    Vertices are the integers 0..n-1 and ``edges`` holds unordered pairs in
-    (min, max) form. Instances are immutable and hashable, so searches can
-    share and memoize them freely.
+    Vertices are the integers 0..n-1, and bit u of ``adj[v]`` is set iff uv
+    is an edge; ``make_graph`` builds these masks from an edge list and is
+    the constructor to use. Instances are immutable and hashable, so
+    searches can share and memoize them freely. ``edges`` is built from the
+    masks on each read and is not kept, so a graph holds no edge tuples.
     """
 
     n: int
-    edges: frozenset[Edge]
+    adj: tuple[int, ...]
 
     @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks: bit u of ``adj[v]`` is set iff uv is an edge."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def m(self) -> int:
+        return sum(a.bit_count() for a in self.adj) // 2
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[Edge]:
+        """Unordered pairs in (min, max) form."""
+        return frozenset(
+            (u, v) for u, a in enumerate(self.adj) for v in iter_bits(a >> u + 1 << u + 1)
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -57,14 +62,15 @@ def make_graph(n: int, edges: Iterable[Edge] = ()) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    canon = set()
+    masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ValueError(f"loop at vertex {u} is not allowed")
-        canon.add((u, v) if u < v else (v, u))
-    return Graph(n, frozenset(canon))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, tuple(masks))
 
 
 def neighborhood(g: Graph, v: int) -> frozenset[int]:
@@ -85,12 +91,8 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, 
             raise ValueError(f"vertex {v} not in 0..{g.n - 1}")
     relabel = {old: new for new, old in enumerate(vs)}
     mask = sum(1 << v for v in vs)
-    edges = [
-        (relabel[u], relabel[v])
-        for u in vs
-        for v in iter_bits(g.adj[u] & mask & ~((2 << u) - 1))
-    ]
-    return Graph(len(vs), frozenset(edges)), relabel
+    adj = tuple(sum(1 << relabel[v] for v in iter_bits(g.adj[u] & mask)) for u in vs)
+    return Graph(len(vs), adj), relabel
 
 
 def is_connected(g: Graph) -> bool:
@@ -131,13 +133,8 @@ def set_adjacency(g: Graph, a: Iterable[int], b: Iterable[int]) -> SetRelation:
 
 def complement(g: Graph) -> Graph:
     """The complement graph on the same vertex set."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.adj[u] >> v & 1
-    ]
-    return make_graph(g.n, edges)
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~a & ~(1 << v) for v, a in enumerate(g.adj)))
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

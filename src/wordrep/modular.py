@@ -8,6 +8,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceeded
 from .graphs import (
     Graph,
+    complement,
     induced_subgraph,
     is_connected,
     iter_bits,
@@ -105,13 +106,10 @@ def quotient(g: Graph, blocks: Sequence[Iterable[int]]) -> tuple[Graph, tuple[in
     if -1 in block_map:
         raise ValueError(f"vertex {block_map.index(-1)} not covered by any block")
     reps = [min(b) for b in bsets]
-    edges = [
-        (i, j)
-        for i in range(len(bsets))
-        for j in range(i + 1, len(bsets))
-        if g.has_edge(reps[i], reps[j])
-    ]
-    return make_graph(len(bsets), edges), tuple(block_map)
+    adj = tuple(
+        sum(1 << j for j, r in enumerate(reps) if g.adj[rep] >> r & 1) for rep in reps
+    )
+    return Graph(len(bsets), adj), tuple(block_map)
 
 
 def maximal_modular_partition(g: Graph) -> ModularPartition:
@@ -138,7 +136,7 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     if not is_connected(g):
         raise ValueError("the graph is not connected")
     full = (1 << g.n) - 1
-    blocks = mask_components([full & ~a & ~(1 << v) for v, a in enumerate(g.adj)])
+    blocks = mask_components(complement(g).adj)
     if len(blocks) < 2:
         blocks = []
         covered = 0
@@ -177,13 +175,15 @@ def substitute(
     g_map = {v: (v if v < pivot else v - 1) for v in range(g.n) if v != pivot}
     base = g.n - 1
     m_map = {v: base + v for v in range(inner.n)}
-    edges = [
-        (g_map[u], g_map[v]) for u, v in g.edges if u != pivot and v != pivot
-    ]
-    edges += [(m_map[u], m_map[v]) for u, v in inner.edges]
-    for w in iter_bits(g.adj[pivot]):
-        edges += [(g_map[w], m_map[x]) for x in range(inner.n)]
-    return make_graph(base + inner.n, edges), g_map, m_map
+    low, copy = (1 << pivot) - 1, (1 << inner.n) - 1 << base
+
+    def outer(a: int) -> int:
+        """g's mask a relabelled by g_map: the pivot's bit dropped."""
+        return a & low | a >> pivot + 1 << pivot
+
+    adj = [outer(a) | (copy if a >> pivot & 1 else 0) for v, a in enumerate(g.adj) if v != pivot]
+    adj += [outer(g.adj[pivot]) | a << base for a in inner.adj]
+    return Graph(base + inner.n, tuple(adj)), g_map, m_map
 
 
 def lex_product(g: Graph, h: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
@@ -196,14 +196,13 @@ def lex_product(g: Graph, h: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
     if g.n < 1 or h.n < 1:
         raise ValueError("lex product needs nonempty factors")
     label = {(a, b): a * h.n + b for a in range(g.n) for b in range(h.n)}
-    edges = []
-    for a, c in g.edges:
-        edges += [
-            (label[(a, b)], label[(c, d)]) for b in range(h.n) for d in range(h.n)
-        ]
-    for a in range(g.n):
-        edges += [(label[(a, b)], label[(a, d)]) for b, d in h.edges]
-    return make_graph(g.n * h.n, edges), label
+    copy = (1 << h.n) - 1
+    adj = tuple(
+        sum(copy << c * h.n for c in iter_bits(g.adj[a])) | h.adj[b] << a * h.n
+        for a in range(g.n)
+        for b in range(h.n)
+    )
+    return Graph(g.n * h.n, adj), label
 
 
 def reconstruct(partition: ModularPartition, block_graphs: Sequence[Graph]) -> Graph:

@@ -530,8 +530,8 @@ def _word_factors(
     permutational one for h; ``names`` reads (outer, inner, composed graph)
     in the DomainError texts."""
     outer_name, inner_name, result_name = names
-    o = find_transitive_orientation(h)
-    if o is None:
+    h_rep = prn(h, cap)
+    if h_rep is None and find_transitive_orientation(h) is None:
         raise DomainError(
             f"{inner_name} admits no transitive orientation, so the "
             f"{result_name} is not word-representable"
@@ -543,7 +543,6 @@ def _word_factors(
     ):
         raise DomainError(f"{outer_name} is not word-representable")
     g_rep = rep_number(g, cap)
-    h_rep = prn_of_orientation(o, cap)
     if g_rep is None or h_rep is None:
         raise CapExceeded(f"representation search capped at k={cap}")
     return g_rep, h_rep

@@ -6,7 +6,7 @@ import random
 from functools import lru_cache
 from pathlib import Path
 
-from wordrep import Graph, make_graph
+from wordrep import Graph, make_graph, substitute
 
 
 def cycle(n: int) -> Graph:
@@ -35,6 +35,14 @@ def wheel(rim: int) -> Graph:
 def cone(h: Graph) -> Graph:
     """h plus one vertex adjacent to all of it."""
     return make_graph(h.n + 1, list(h.edges) + [(v, h.n) for v in range(h.n)])
+
+
+def independent_blow_up(g: Graph, vertices, size: int) -> Graph:
+    """g with each of ``vertices`` replaced by an independent set of ``size``
+    vertices joined to its neighbours; the other vertices keep their labels."""
+    for v in sorted(vertices, reverse=True):
+        g = substitute(g, v, empty(size))[0]
+    return g
 
 
 def star(leaves: int) -> Graph:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from wordrep import Graph, all_modules, represents
+from wordrep import Graph, all_modules, make_graph, represents
 from wordrep.graphs import iter_bits
 from wordrep.orientations import Orientation, Poset, is_transitive, placement_order
 from wordrep.words import Word
@@ -163,6 +163,51 @@ def brute_strong_maximal_blocks(g: Graph) -> list[frozenset[int]]:
     strong = [m for m in proper if not any(_overlap(m, o) for o in mods if o != m)]
     maximal = [m for m in strong if not any(m < o for o in strong)]
     return sorted(maximal, key=min)
+
+
+def brute_induced_subgraph(g: Graph, subset) -> Graph:
+    """The subgraph on ``subset`` relabelled in sorted order, from g's edge tuples."""
+    label = {v: i for i, v in enumerate(sorted(set(subset)))}
+    return make_graph(
+        len(label), [(label[u], label[v]) for u, v in g.edges if u in label and v in label]
+    )
+
+
+def brute_quotient(g: Graph, blocks) -> Graph:
+    """Blocks i and j adjacent iff an edge tuple of g joins them (for
+    modules, some edge joins two blocks iff every pair does)."""
+    where = {v: i for i, b in enumerate(blocks) for v in b}
+    return make_graph(
+        len(blocks), [(where[u], where[v]) for u, v in g.edges if where[u] != where[v]]
+    )
+
+
+def brute_substitute(g: Graph, pivot: int, inner: Graph) -> Graph:
+    """g's other vertices first in order, inner's appended, each joined to
+    the pivot's neighbours, from edge tuples."""
+    label = [v - (v > pivot) for v in range(g.n)]
+    base = g.n - 1
+    edges = [(label[u], label[v]) for u, v in g.edges if pivot not in (u, v)]
+    edges += [(base + u, base + v) for u, v in inner.edges]
+    edges += [
+        (label[u + v - pivot], base + x)
+        for u, v in g.edges if pivot in (u, v)
+        for x in range(inner.n)
+    ]
+    return make_graph(base + inner.n, edges)
+
+
+def brute_lex_product(g: Graph, h: Graph) -> Graph:
+    """(a, b) ~ (c, d) iff ac is an edge of g, or a = c and bd is one of h;
+    vertex (a, b) is a * h.n + b."""
+    pairs = [(a, b) for a in range(g.n) for b in range(h.n)]
+    g_edges, h_edges = g.edges, h.edges
+    return make_graph(len(pairs), [
+        (a * h.n + b, c * h.n + d)
+        for a, b in pairs
+        for c, d in pairs
+        if (a, c) in g_edges or (a == c and (b, d) in h_edges)
+    ])
 
 
 def _order_masks(n: int) -> list[int]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wordrep import (
+    CapExceeded,
     Caps,
     DomainError,
     Representation,
@@ -28,7 +29,7 @@ from wordrep import (
 )
 from wordrep.modular import induced_block_graphs, lex_product
 from wordrep.representation import closed_form_prn, prn_of_orientation
-from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, path_graph, petersen, prism, random_connected_graph, star, wheel
+from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, independent_blow_up, path_graph, petersen, prism, random_connected_graph, star, two_dimensional_order, wheel
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
 
@@ -520,6 +521,69 @@ def test_verify_replays_a_witness_past_the_replay_cap(g, witness):
     assert verdict.witness == witness
     assert verify(verdict, g)
     assert verify(verdict, g, replay_edge_cap=0)
+
+
+def test_verify_replays_a_refuted_quotient_past_the_replay_cap(monkeypatch):
+    # W5 plus a pendant on rim vertex 1 is prime and not word-representable;
+    # with its rim blown up it has 63 edges and no witness, since every block
+    # is edgeless, and the oracle refutes the quotient with its 11 edges
+    import wordrep.characterizer as characterizer
+
+    pendant = make_graph(7, sorted(wheel(5).edges) + [(1, 6)])
+    g = independent_blow_up(pendant, range(1, 6), 3)
+    verdict = classify(g)
+    assert g.m == 63 and verdict.status == Status.NOT_WORD_REPRESENTABLE
+    assert verdict.witness is None
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return maximal_modular_partition(graph)
+
+    monkeypatch.setattr(characterizer, "maximal_modular_partition", counted)
+    assert verify(verdict, g)
+    assert calls == [g]
+    with pytest.raises(CapExceeded, match="^oracle replay: 63 edges exceed cap 10$"):
+        verify(verdict, g, replay_edge_cap=10)
+    # within the cap the oracle replays on the graph itself, with no partition
+    refuted = classify(pendant)
+    calls.clear()
+    assert verify(refuted, pendant) and calls == []
+
+
+def test_verify_keeps_refusing_a_forged_refutation_past_the_replay_cap():
+    # C5 blown up is word-representable, and so is its quotient C5; the
+    # quotient replay never turns a refutation down, it only confirms one
+    g = independent_blow_up(cycle(5), range(5), 3)
+    forged = Verdict(Status.NOT_WORD_REPRESENTABLE, Caps())
+    with pytest.raises(CapExceeded, match="^oracle replay: 45 edges exceed cap 24$"):
+        verify(forged, g)
+    assert not verify(forged, g, replay_edge_cap=45)
+
+
+def test_classify_and_verify_never_build_an_edge_set(monkeypatch):
+    # every layer reads neighbour masks; Graph.edges is for output only
+    from wordrep import Graph
+
+    sample = list(atlas_connected(7, min_n=2)[::9])
+    sample.append(make_graph(9, sorted(wheel(5).edges) + [(1, 6), (6, 7), (3, 7), (7, 8), (0, 8)]))
+    composite = cycle(5)
+    for v in range(4, -1, -1):
+        composite = substitute(composite, v, two_dimensional_order(v, 10))[0]
+    sample.append(composite)
+    reads = []
+    edges = Graph.edges
+
+    def counted(g):
+        reads.append(g)
+        return edges.fget(g)
+
+    monkeypatch.setattr(Graph, "edges", property(counted))
+    verdicts = [(classify(g), g) for g in sample]
+    assert all(verify(v, g) for v, g in verdicts)
+    assert composite.n == 50 and verdicts[-1][0].status == Status.WORD_REPRESENTABLE
+    assert verdicts[-2][0].status == Status.NOT_WORD_REPRESENTABLE
+    assert reads == []
 
 
 @pytest.mark.parametrize(

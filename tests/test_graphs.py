@@ -8,9 +8,12 @@ from wordrep import (
     neighborhood,
     set_adjacency,
 )
+from wordrep.io import GraphFileError, parse_graph_text
 from helpers import complete, cycle, path_graph, random_graph, wheel
+from oracles import brute_induced_subgraph
 
 import random
+import re
 
 
 def test_make_graph_k2():
@@ -107,3 +110,70 @@ def test_single_pair_adjacency_matches_edges(n):
     for u in range(n):
         for v in range(u + 1, n):
             assert set_adjacency(g, {u}, {v}) == "adjacent"
+
+
+# ------------------------------------------------------- the Graph contract
+
+
+def contract_graphs():
+    """Every atlas graph (0..7 vertices, connected or not) and seeded random
+    graphs with up to 70 vertices."""
+    import networkx as nx
+
+    atlas = [
+        make_graph(g.number_of_nodes(), [(int(u), int(v)) for u, v in g.edges()])
+        for g in nx.graph_atlas_g()
+    ]
+    rng = random.Random(27)
+    return atlas + [random_graph(rng, n, p) for n in (8, 13, 30, 50, 70) for p in (0.1, 0.5, 0.9)]
+
+
+def test_a_graph_is_rebuilt_from_its_edges_in_any_order():
+    rng = random.Random(28)
+    for g in contract_graphs():
+        edges = sorted(g.edges)
+        assert g.m == len(edges)
+        assert make_graph(g.n, edges) == g
+        flipped = [(v, u) for u, v in reversed(edges)]
+        shuffled = edges[:]
+        rng.shuffle(shuffled)
+        for other in (make_graph(g.n, flipped), make_graph(g.n, shuffled)):
+            assert other == g and hash(other) == hash(g)
+            assert repr(other) == repr(g) == f"Graph(n={g.n}, edges={edges})"
+
+
+def test_a_graph_holds_its_masks_and_no_edge_container():
+    g = wheel(5)
+    assert g.adj == (0b111110, 0b100101, 0b001011, 0b010101, 0b101001, 0b010011)
+    assert g.edges == g.edges and g.m == 10
+    assert set(vars(g)) == {"n", "adj", "m"}  # m is cached; edges is built per read
+    assert g.edges is not g.edges
+
+
+def test_induced_subgraph_matches_a_build_from_edge_tuples():
+    rng = random.Random(29)
+    for g in contract_graphs()[::7]:
+        for size in {0, g.n // 2, g.n}:
+            subset = rng.sample(range(g.n), size)
+            sub, relabel = induced_subgraph(g, subset)
+            assert sub == brute_induced_subgraph(g, subset)
+            assert relabel == {v: i for i, v in enumerate(sorted(subset))}
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0, 5)], "edge (0, 5) has an endpoint outside 0..2"),
+        (3, [(-1, 0)], "edge (-1, 0) has an endpoint outside 0..2"),
+        (3, [(2, 2)], "loop at vertex 2 is not allowed"),
+        (-1, [], "vertex count must be nonnegative, got -1"),
+    ],
+)
+def test_make_graph_errors_keep_their_messages(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_graph(n, edges)
+
+
+def test_a_duplicate_edge_in_a_file_keeps_its_message():
+    with pytest.raises(GraphFileError, match=r"^declared 2 edges but 1 were duplicates$"):
+        parse_graph_text("3 2\n0 1\n1 0\n")

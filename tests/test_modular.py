@@ -27,7 +27,12 @@ from helpers import (
     star,
     wheel,
 )
-from oracles import brute_strong_maximal_blocks
+from oracles import (
+    brute_lex_product,
+    brute_quotient,
+    brute_strong_maximal_blocks,
+    brute_substitute,
+)
 
 
 def test_singletons_and_v_are_modules():
@@ -352,3 +357,20 @@ def test_quotient_is_complete_or_prime():
         assert q.m == q.n * (q.n - 1) // 2 or all(
             len(b) == 1 for b in maximal_modular_partition(q).blocks
         )
+
+
+def test_quotient_substitute_and_lex_product_match_builds_from_edge_tuples():
+    rng = random.Random(47)
+    primes = [q for q in atlas_connected(7, min_n=4) if len(all_modules(q)) == q.n + 1]
+    for _ in range(20):
+        q = rng.choice(primes)
+        pieces = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(q.n)]
+        label = list(range(sum(p.n for p in pieces)))
+        rng.shuffle(label)
+        g, members = blow_up(q, pieces, label)
+        for blocks in (members, maximal_modular_partition(g).blocks):
+            assert quotient(g, blocks)[0] == brute_quotient(g, blocks)
+        inner = rng.choice(pieces)
+        pivot = rng.randrange(q.n)
+        assert substitute(q, pivot, inner)[0] == brute_substitute(q, pivot, inner)
+        assert lex_product(q, inner)[0] == brute_lex_product(q, inner)

@@ -291,6 +291,18 @@ def test_complete_and_edgeless_graphs_are_neither_oriented_nor_searched(monkeypa
     assert oriented == realized == []
 
 
+def test_word_products_take_a_complete_or_edgeless_inner_factor_in_closed_form(monkeypatch):
+    # only C6 is oriented, once per call, and only lex_prn runs a realizer;
+    # K2 and the edgeless inner factor used to be oriented and realized too
+    oriented, realized = count_searches(monkeypatch)
+    assert lex_rep_number(cycle(6), complete(2)).k == 2
+    assert lex_prn(cycle(6), complete(2)).k == 3
+    assert oriented == [cycle(6)] * 2 and len(realized) == 1
+    del oriented[:], realized[:]
+    assert rep_number_composed(cycle(6), 0, empty(3)).k == 2
+    assert oriented == [cycle(6)] and realized == []
+
+
 def test_prn_matches_direct_concatenation_search():
     # the dimension route must agree with raw search over permutation tuples
     for g in atlas_connected(5, min_n=2):
