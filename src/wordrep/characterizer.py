@@ -290,16 +290,8 @@ def verify(
     forcing pass, at any size); a reduced verdict must name g's quotient,
     where g is connected, not complete, and has only comparability blocks:
     classify decides the rest. Only the oracle replay of a refutation with
-    no witness searches. Past the edge cap it replays on the quotient of a
-    connected g instead, and raises CapExceeded rather than guessing when
-    that is past the cap too or has a semi-transitive orientation.
-
-    Why the quotient suffices: the blocks are modules, so two blocks are
-    fully joined or not joined at all, and one vertex from each block
-    induces a copy of the quotient. Deleting letters from a word that
-    represents g leaves a word that represents the subgraph the other
-    letters induce, so an induced subgraph of a word-representable graph is
-    word-representable, and a quotient the oracle refutes refutes g.
+    no witness searches, and past the edge cap it raises CapExceeded rather
+    than guessing.
     """
     if verdict.status in (Status.WORD_REPRESENTABLE, Status.COMPARABILITY):
         if not _numbers_compose(verdict):
@@ -316,12 +308,6 @@ def verify(
             return (2 <= len(w) < g.n and all(0 <= v < g.n for v in w) and is_module(g, w)
                     and find_transitive_orientation(induced_subgraph(g, w)[0]) is None)
         if g.m > replay_edge_cap:
-            if is_connected(g):
-                q = maximal_modular_partition(g).quotient
-                if q.m <= replay_edge_cap and not exists_semi_transitive_orientation(
-                    q, replay_edge_cap
-                ):
-                    return True
             raise CapExceeded(
                 f"oracle replay: {g.m} edges exceed cap {replay_edge_cap}"
             )

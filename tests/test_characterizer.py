@@ -523,15 +523,16 @@ def test_verify_replays_a_witness_past_the_replay_cap(g, witness):
     assert verify(verdict, g, replay_edge_cap=0)
 
 
-def test_verify_replays_a_refuted_quotient_past_the_replay_cap(monkeypatch):
+def test_verify_refuses_a_witness_free_refutation_past_the_replay_cap(monkeypatch):
     # W5 plus a pendant on rim vertex 1 is prime and not word-representable;
     # with its rim blown up it has 63 edges and no witness, since every block
-    # is edgeless, and the oracle refutes the quotient with its 11 edges
+    # is edgeless. Past the cap the replay raises without a partition:
+    # replaying on the quotient would re-pay classify's oracle search
     import wordrep.characterizer as characterizer
 
     pendant = make_graph(7, sorted(wheel(5).edges) + [(1, 6)])
     g = independent_blow_up(pendant, range(1, 6), 3)
-    verdict = classify(g)
+    verdict, refuted = classify(g), classify(pendant)
     assert g.m == 63 and verdict.status == Status.NOT_WORD_REPRESENTABLE
     assert verdict.witness is None
     calls = []
@@ -541,19 +542,16 @@ def test_verify_replays_a_refuted_quotient_past_the_replay_cap(monkeypatch):
         return maximal_modular_partition(graph)
 
     monkeypatch.setattr(characterizer, "maximal_modular_partition", counted)
-    assert verify(verdict, g)
-    assert calls == [g]
-    with pytest.raises(CapExceeded, match="^oracle replay: 63 edges exceed cap 10$"):
-        verify(verdict, g, replay_edge_cap=10)
-    # within the cap the oracle replays on the graph itself, with no partition
-    refuted = classify(pendant)
-    calls.clear()
-    assert verify(refuted, pendant) and calls == []
+    with pytest.raises(CapExceeded, match="^oracle replay: 63 edges exceed cap 24$"):
+        verify(verdict, g)
+    # within the cap the oracle replays on the graph itself
+    assert verify(refuted, pendant)
+    assert calls == []
 
 
 def test_verify_keeps_refusing_a_forged_refutation_past_the_replay_cap():
-    # C5 blown up is word-representable, and so is its quotient C5; the
-    # quotient replay never turns a refutation down, it only confirms one
+    # C5 blown up is word-representable: past the cap a forged refutation
+    # raises, and within it the oracle turns it down
     g = independent_blow_up(cycle(5), range(5), 3)
     forged = Verdict(Status.NOT_WORD_REPRESENTABLE, Caps())
     with pytest.raises(CapExceeded, match="^oracle replay: 45 edges exceed cap 24$"):
