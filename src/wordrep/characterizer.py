@@ -46,7 +46,6 @@ from .representation import (
     prn_of_orientation,
     rep_number,
 )
-from .words import uniformity
 
 
 class Status(Enum):
@@ -257,14 +256,14 @@ def certificate_replays(
     cert: Representation | None, g: Graph, claimed_k: int | None,
     permutational: bool = False,
 ) -> bool:
-    """The certificate's word represents g at the claimed multiplicity, read
-    from the word, and the certificate is permutational when that is
-    required; with no claimed number (None) it backs no claim. The word was
-    checked against cert.target when cert was built, and a word defines one
-    graph, so comparing the target with g suffices."""
+    """The certificate's word represents g at the claimed multiplicity, and
+    the certificate is permutational when that is required; with no claimed
+    number (None) it backs no claim. The word was checked against
+    cert.target, and ``cert.k`` read from it, when cert was built, and a
+    word defines one graph, so comparing the target and ``k`` suffices."""
     if cert is None or (permutational and cert.mode != PERMUTATIONAL):
         return False
-    return cert.target.adj == g.adj and uniformity(cert.word).uniform_k == claimed_k
+    return cert.target.adj == g.adj and cert.k == claimed_k
 
 
 def _numbers_compose(verdict: Verdict) -> bool:

@@ -261,13 +261,22 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integers(value) -> bool:
+    """True iff value passes ``_integer``, or is a list of such values or an
+    object of such values and nulls, at any depth."""
+    if isinstance(value, dict):
+        return all(v is None or _integers(v) for v in value.values())
+    return all(map(_integers, value)) if isinstance(value, list) else _integer(value)
+
+
 def _certificate(cert, g: Graph) -> Representation | None:
     """A report's certificate rebuilt as a Representation of g, or None if
     it does not replay. The constructor is the one check of a report's
-    word: certificate_replays then only matches the target with g."""
+    word and reads its multiplicity, which a non-null ``k`` must equal."""
     try:
-        if cert["k"] is None or _integer(cert["k"]):
-            return Representation(word_from_text(cert["word"]), cert["k"], cert["mode"], g)
+        rep = Representation(word_from_text(cert["word"]), cert["mode"], g)
+        if cert["k"] is None or _integer(cert["k"]) and cert["k"] == rep.k:
+            return rep
     except (AttributeError, KeyError, TypeError, ValueError):
         pass
     return None
@@ -294,8 +303,6 @@ def _check_verdict(report: dict, numbers: dict, g: Graph) -> Verdict:
     """
     witness = _field(report, "witness", list)
     block_prns = _field(numbers, "block_prns", list)
-    if not all(map(_integer, (*(witness or ()), *(block_prns or ()), *report["caps"].values()))):
-        raise TypeError("'witness', 'block_prns' and 'caps' must hold integers")
     q = report.get("quotient")
     return Verdict(
         Status(report["status"]),
@@ -348,7 +355,7 @@ def _replay_report(
             emitted = parse_graph_text(graph_file)
         except GraphFileError:
             return False
-        if emitted != g:
+        if emitted != g or (report.get("n"), report.get("m")) != (g.n, g.m):
             return False
         return all(
             report.get(key) is None
@@ -374,8 +381,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         command = report.get("command")
         digest = _field(report, "input", dict, {}).get("sha256")
         numbers = _field(report, "numbers", dict, {})
-        for key in ("r", "prn"):  # a claimed number is an integer
-            _field(numbers, key, int)
+        # the fields that hold vertices and counts hold integers, at any depth
+        for key in "caps numbers witness quotient blocks block_map n m at".split():
+            if report.get(key) is not None and not _integers(report[key]):
+                raise TypeError(f"{key!r} must hold integers")
         graph_file = _field(report, "graph_file", str, "")
         verdict = _check_verdict(report, numbers, g) if command == "check" else None
         word_cap = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal
 
 Edge = tuple[int, int]
 SetRelation = Literal["adjacent", "nonadjacent", "mixed"]
@@ -49,6 +49,8 @@ class Graph:
         )
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"pair ({u}, {v}) has a vertex outside 0..{self.n - 1}")
         return bool(self.adj[u] >> v & 1)
 
     def __repr__(self) -> str:
@@ -139,13 +141,8 @@ def complement(g: Graph) -> Graph:
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
-    return mask_components(g.adj)
-
-
-def mask_components(adj: Sequence[int]) -> list[frozenset[int]]:
-    """Components of the graph whose vertex v has neighbour mask ``adj[v]``,
-    as vertex sets ordered by smallest member."""
-    unseen = (1 << len(adj)) - 1
+    adj = g.adj
+    unseen = (1 << g.n) - 1
     comps = []
     while unseen:
         seen = frontier = unseen & -unseen

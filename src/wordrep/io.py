@@ -50,10 +50,7 @@ def parse_graph_text(text: str) -> Graph:
     n, m = header
     if len(edges) != m:
         raise GraphFileError(f"declared {m} edges but found {len(edges)}")
-    try:
-        g = make_graph(n, edges)
-    except ValueError as exc:
-        raise GraphFileError(str(exc)) from None
+    g = make_graph(n, edges)
     if g.m != m:
         raise GraphFileError(f"declared {m} edges but {m - g.m} were duplicates")
     return g

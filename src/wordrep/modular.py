@@ -9,11 +9,10 @@ from .errors import CapExceeded
 from .graphs import (
     Graph,
     complement,
+    connected_components,
     induced_subgraph,
     is_connected,
     iter_bits,
-    make_graph,
-    mask_components,
 )
 
 ALL_MODULES_MAX_N = 15
@@ -136,7 +135,7 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     if not is_connected(g):
         raise ValueError("the graph is not connected")
     full = (1 << g.n) - 1
-    blocks = mask_components(complement(g).adj)
+    blocks = connected_components(complement(g))
     if len(blocks) < 2:
         blocks = []
         covered = 0
@@ -216,17 +215,17 @@ def reconstruct(partition: ModularPartition, block_graphs: Sequence[Graph]) -> G
         raise ValueError(
             f"expected {len(blocks)} block graphs, got {len(block_graphs)}"
         )
-    edges = []
+    adj = [0] * partition.base.n
     for i, bg in enumerate(block_graphs):
         members = sorted(blocks[i])
         if bg.n != len(members):
             raise ValueError(
                 f"block {i} has {len(members)} vertices but its graph has {bg.n}"
             )
-        edges += [(members[u], members[v]) for u, v in bg.edges]
-    for i, j in partition.quotient.edges:
-        edges += [(u, v) for u in blocks[i] for v in blocks[j]]
-    return make_graph(partition.base.n, edges)
+        joined = sum(1 << v for j in iter_bits(partition.quotient.adj[i]) for v in blocks[j])
+        for u, a in zip(members, bg.adj):
+            adj[u] = sum(1 << members[w] for w in iter_bits(a)) | joined
+    return Graph(partition.base.n, tuple(adj))
 
 
 def induced_block_graphs(partition: ModularPartition) -> list[Graph]:

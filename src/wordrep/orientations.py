@@ -32,40 +32,40 @@ DEFAULT_WORD_CAP = 4  # words and realizers: at most this many copies of each le
 
 @dataclass(frozen=True)
 class Orientation:
-    """A direction for each edge of ``base``, as a set of ordered pairs."""
+    """A direction for each edge of ``base``: bit y of ``succ[x]`` is set iff
+    x -> y is an arc. ``arcs`` is built from the masks on each read."""
 
     base: Graph
-    arcs: frozenset[tuple[int, int]]
+    succ: tuple[int, ...]
 
-    def succ_masks(self) -> list[int]:
-        succ = [0] * self.base.n
-        for x, y in self.arcs:
-            succ[x] |= 1 << y
-        return succ
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((x, y) for x, a in enumerate(self.succ) for y in iter_bits(a))
 
 
 def orient(g: Graph, arcs) -> Orientation:
     """Validate and build an orientation: exactly one direction per edge of g."""
-    arc_set = frozenset((int(x), int(y)) for x, y in arcs)
-    seen = set()
-    for x, y in arc_set:
+    succ = [0] * g.n
+    for x, y in arcs:
+        x, y = int(x), int(y)
         if not g.has_edge(x, y):
             raise ValueError(f"({x}, {y}) is not an edge of the base graph")
-        if (y, x) in arc_set:
+        if succ[y] >> x & 1:
             raise ValueError(f"edge ({x}, {y}) oriented both ways")
-        seen.add((min(x, y), max(x, y)))
-    if len(seen) != g.m:
-        missing = sorted(g.edges - seen)
+        succ[x] |= 1 << y
+    missing = sorted((x, y) for x, y in g.edges if not (succ[x] >> y | succ[y] >> x) & 1)
+    if missing:
         raise ValueError(f"edges without a direction: {missing}")
-    return Orientation(g, arc_set)
+    return Orientation(g, tuple(succ))
 
 
 def is_transitive(o: Orientation) -> bool:
     """True iff whenever a -> b and b -> c are arcs, so is a -> c."""
-    succ = o.succ_masks()
-    for x, y in o.arcs:
-        if succ[y] & ~succ[x]:
-            return False
+    succ = o.succ
+    for a in succ:
+        for y in iter_bits(a):
+            if succ[y] & ~a:
+                return False
     return True
 
 
@@ -153,7 +153,7 @@ def _place(
 def is_semi_transitive(o: Orientation) -> bool:
     """True iff the orientation is acyclic and has no shortcut: ``_place``
     adds the vertices 0, 1, ..., n - 1 in turn."""
-    n, adj, succ = o.base.n, o.base.adj, o.succ_masks()
+    n, adj, succ = o.base.n, o.base.adj, o.succ
     masks: tuple[list[int], list[int]] | None = ([0] * n, [0] * n)
     for v in range(n):
         placed = (1 << v) - 1
@@ -311,8 +311,7 @@ def find_transitive_orientation(g: Graph) -> Orientation | None:
     masks = _transitive_masks(g.adj)
     if masks is None:
         return None
-    succ, _ = masks
-    o = Orientation(g, frozenset((x, y) for x in range(g.n) for y in iter_bits(succ[x])))
+    o = Orientation(g, tuple(masks[0]))
     assert is_transitive(o)
     return o
 
@@ -347,7 +346,7 @@ def poset_of(o: Orientation) -> Poset:
     """The strict order induced by a transitive orientation."""
     if not is_transitive(o):
         raise ValueError("orientation is not transitive; no induced poset")
-    return Poset(frozenset(range(o.base.n)), frozenset(o.arcs))
+    return Poset(frozenset(range(o.base.n)), o.arcs)
 
 
 def _lex_min_topological(m: int, succ: list[int]) -> list[int]:

@@ -99,7 +99,7 @@ a bug in a construction cannot silently produce a wrong certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, DomainError
@@ -123,15 +123,13 @@ PERMUTATIONAL = "permutational"
 
 @dataclass(frozen=True)
 class Representation:
-    """A verified representing word for ``target``.
-
-    ``k`` is the uniform multiplicity (None for non-uniform words); in
-    permutational mode the word must split into k permutations of the
-    vertex set. Construction re-checks everything.
-    """
+    """A verified uniform representing word for ``target``, with ``k``
+    copies of each letter, read from the word. In permutational mode the
+    word must split into k permutations of the vertex set. Construction
+    re-checks everything."""
 
     word: Word
-    k: int | None
+    k: int = field(init=False)
     mode: str
     target: Graph
 
@@ -141,13 +139,10 @@ class Representation:
         if not represents(self.word, self.target):
             raise ValueError("word does not represent the target graph")
         profile = uniformity(self.word)
-        if self.k is not None and profile.uniform_k != self.k:
-            raise ValueError(
-                f"word is not {self.k}-uniform (profile {profile.counts})"
-            )
+        if profile.uniform_k is None:
+            raise ValueError(f"word is not uniform (profile {profile.counts})")
+        object.__setattr__(self, "k", profile.uniform_k)
         if self.mode == PERMUTATIONAL:
-            if self.k is None:
-                raise ValueError("permutational representations must be uniform")
             for p in self.permutations():
                 if len(set(p)) != self.target.n:
                     raise ValueError(f"chunk {p} is not a permutation of the vertices")
@@ -155,7 +150,6 @@ class Representation:
     def permutations(self) -> list[Word]:
         """The word split into its k consecutive length-n chunks."""
         n = self.target.n
-        assert self.k is not None and len(self.word) == self.k * n
         return [self.word[i * n : (i + 1) * n] for i in range(self.k)]
 
 
@@ -382,7 +376,7 @@ def rep_number(g: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation | None:
             continue
         found = next(representing_words(g, k), None)
         if found is not None:
-            return Representation(found, k, GENERAL, g)
+            return Representation(found, GENERAL, g)
     return None
 
 
@@ -399,9 +393,9 @@ def closed_form_prn(g: Graph) -> Representation | None:
     """
     identity = tuple(range(g.n))
     if g.m == g.n * (g.n - 1) // 2:
-        return Representation(identity, 1, PERMUTATIONAL, g)
+        return Representation(identity, PERMUTATIONAL, g)
     if g.m == 0:
-        return Representation(identity[::-1] + identity, 2, PERMUTATIONAL, g)
+        return Representation(identity[::-1] + identity, PERMUTATIONAL, g)
     return None
 
 
@@ -429,7 +423,7 @@ def prn_of_orientation(o: Orientation, cap: int = DEFAULT_WORD_CAP) -> Represent
     realizer = minimum_realizer(poset_of(o), cap)
     if realizer is None:
         return None
-    return Representation(concat_permutations(realizer), len(realizer), PERMUTATIONAL, o.base)
+    return Representation(concat_permutations(realizer), PERMUTATIONAL, o.base)
 
 
 def uniformize(word: Word, g: Graph, t: int) -> Word:
@@ -477,7 +471,7 @@ def compose(
     for q in uniformize(outer.word, outer.target, t):
         out.extend(labels[q][x] for x in perms[q][min(occurrences[q], blocks[q].k - 1)])
         occurrences[q] += 1
-    return Representation(tuple(out), t, mode, target)
+    return Representation(tuple(out), mode, target)
 
 
 # the block that stands for a vertex left in place by a substitution
@@ -503,8 +497,6 @@ def substitute_representation(plan: SubstitutionPlan) -> Representation:
     outer, inner = plan.outer, plan.inner
     if inner.mode != PERMUTATIONAL:
         raise ValueError("the inner representation must be permutational")
-    if outer.k is None:
-        raise ValueError("the outer word must be uniform")
     g = outer.target
     result, g_map, m_map = substitute(g, plan.pivot, inner.target)
     blocks = [inner if c == plan.pivot else _POINT for c in range(g.n)]

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, iter_bits, make_graph
+from .graphs import Graph, iter_bits
 
 Word = tuple[int, ...]
 
@@ -96,8 +96,7 @@ def alternation_graph(word: Sequence[int]) -> tuple[Graph, dict[int, int]]:
     alphabet = sorted(set(word))
     relabel = {letter: i for i, letter in enumerate(alphabet)}
     masks = _alternation_masks([relabel[c] for c in word], len(alphabet))
-    edges = [(u, v) for u, mask in enumerate(masks) for v in iter_bits(mask) if u < v]
-    return make_graph(len(alphabet), edges), relabel
+    return Graph(len(alphabet), masks), relabel
 
 
 def represents(word: Sequence[int], g: Graph) -> bool:

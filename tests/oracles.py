@@ -52,7 +52,7 @@ def all_orientations(g: Graph):
     edges = sorted(g.edges)
     for bits in product((0, 1), repeat=len(edges)):
         arcs = [(u, v) if b == 0 else (v, u) for (u, v), b in zip(edges, bits)]
-        yield Orientation(g, frozenset(arcs))
+        yield Orientation(g, tuple(sum(1 << y for t, y in arcs if t == x) for x in range(g.n)))
 
 
 def brute_has_transitive_orientation(g: Graph) -> bool:

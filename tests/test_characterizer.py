@@ -24,6 +24,7 @@ from wordrep import (
     poset_of,
     rep_number,
     substitute,
+    uniformity,
     uniformize,
     verify,
 )
@@ -259,7 +260,7 @@ def test_verify_rejects_tampered_certificate():
         verdict.status,
         verdict.caps,
         certificate=Representation(
-            verdict.certificate.word, verdict.certificate.k, "general", wheel(6)
+            verdict.certificate.word, "general", wheel(6)
         ),
         perm_certificate=verdict.perm_certificate,
         r_number=verdict.r_number,
@@ -467,7 +468,7 @@ def test_verify_checks_a_composed_verdicts_numbers_against_its_parts():
     # blocks of prn 4 under a permutational certificate of 3 permutations
     word4 = uniformize(verdict.certificate.word, g, 4)
     high_r = dataclasses.replace(
-        verdict, certificate=Representation(word4, 4, "general", g), r_number=4
+        verdict, certificate=Representation(word4, "general", g), r_number=4
     )
     assert verify(dataclasses.replace(high_r, block_prns=None, quotient_r=None), g)
     for forged in (
@@ -557,6 +558,13 @@ def test_verify_keeps_refusing_a_forged_refutation_past_the_replay_cap():
     with pytest.raises(CapExceeded, match="^oracle replay: 45 edges exceed cap 24$"):
         verify(forged, g)
     assert not verify(forged, g, replay_edge_cap=45)
+
+
+def test_every_certificate_carries_the_multiplicity_of_its_word():
+    for g in atlas_connected(6):
+        verdict = classify(g)
+        for rep in (verdict.certificate, verdict.perm_certificate):
+            assert rep is None or rep.k == uniformity(rep.word).uniform_k
 
 
 def test_classify_and_verify_never_build_an_edge_set(monkeypatch):

@@ -44,6 +44,13 @@ def test_neighborhood_hub_sees_all_rim():
     assert neighborhood(w5, 0) == {1, 2, 3, 4, 5}
 
 
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (0, 2), (2, 0)])
+def test_has_edge_rejects_a_vertex_outside_the_graph(u, v):
+    # adj[-1] is the last vertex's mask, so (-1, 0) used to read as (1, 0)
+    with pytest.raises(ValueError, match=r"outside 0\.\.1$"):
+        make_graph(2, [(0, 1)]).has_edge(u, v)
+
+
 def test_neighborhood_rejects_bad_vertex():
     with pytest.raises(ValueError):
         neighborhood(cycle(4), 7)

@@ -73,6 +73,17 @@ def test_parse_error_carries_line_number():
         parse_graph_text("# c\n2 1\n0 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("# c\n-1 0\n", 2), ("3 -1\n", 1), ("3 2\n0 1\n# c\n1 1\n", 4)],
+    ids=["negative-n", "negative-m", "loop"],
+)
+def test_parse_rejects_what_make_graph_would_with_a_line_number(text, line):
+    # the parser rejects every input make_graph rejects, before building it
+    with pytest.raises(GraphFileError, match=f"^line {line}: "):
+        parse_graph_text(text)
+
+
 # ----------------------------------------------------------------------- check
 
 
@@ -544,6 +555,10 @@ CHECK_W6 = ("check", FIXTURES / "w6.graph")
 CHECK_K2 = ("check", FIXTURES / "k2.graph")
 REPNUM_C6_CAP_1 = ("repnum", FIXTURES / "c6.graph", "--cap", "1")
 PRN_C6_CAP_1 = ("prn", FIXTURES / "c6.graph", "--cap", "1")
+CHECK_C5_REDUCED = ("check", FIXTURES / "c5.graph", "--word-cap", "1", "--oracle-cap", "1")
+DECOMPOSE_W6 = ("decompose", FIXTURES / "w6.graph")
+PRODUCT_SUBSTITUTE = ("product", FIXTURES / "c5.graph", FIXTURES / "k2.graph",
+                      "--op", "substitute", "--at", "1")
 
 
 @pytest.mark.parametrize(
@@ -601,6 +616,28 @@ PRN_C6_CAP_1 = ("prn", FIXTURES / "c6.graph", "--cap", "1")
              "--numbers"),
             lambda report: {**report, "numbers": {**report["numbers"], "r": True}},
         ),
+        # true in a quotient, a partition or a product's counts read as 1 too,
+        # so a reduced C5 report, W6's partition with vertex 1 or block map
+        # entry 1 given as true, and such product reports verified
+        (CHECK_C5_REDUCED, lambda report: {
+            **report, "quotient": {**report["quotient"], "n": True},
+        }),
+        (CHECK_C5_REDUCED, lambda report: {**report, "quotient": {
+            **report["quotient"], "edges": [[0, True], *report["quotient"]["edges"][1:]],
+        }}),
+        (DECOMPOSE_W6, lambda report: {**report, "block_map": [0, True, *report["block_map"][2:]]}),
+        (DECOMPOSE_W6, lambda report: {
+            **report, "blocks": [[0], [True, *report["blocks"][1][1:]]],
+        }),
+        (DECOMPOSE_W6, lambda report: {
+            **report, "quotient": {**report["quotient"], "edges": [[0, True]]},
+        }),
+        (PRODUCT_SUBSTITUTE, lambda report: {**report, "n": True}),
+        (PRODUCT_SUBSTITUTE, lambda report: {**report, "m": 12.0}),
+        (PRODUCT_SUBSTITUTE, lambda report: {**report, "at": True}),
+        (PRODUCT_SUBSTITUTE, lambda report: {
+            **report, "caps": {**report["caps"], "word_cap": True},
+        }),
     ],
     ids=[
         "list", "missing-caps", "unknown-cap-key", "check-input-string",
@@ -612,6 +649,9 @@ PRN_C6_CAP_1 = ("prn", FIXTURES / "c6.graph", "--cap", "1")
         "check-k2-numbers-true", "check-k2-word-cap-true", "check-oracle-cap-false",
         "check-quotient-r-true", "check-block-prns-true", "check-witness-true",
         "repnum-k2-r-true", "prn-k2-prn-true", "capped-word-cap-true", "product-r-true",
+        "check-quotient-n-true", "check-quotient-vertex-true", "decompose-block-map-true",
+        "decompose-blocks-vertex-true", "decompose-quotient-vertex-true", "product-n-true",
+        "product-m-float", "product-at-true", "product-word-cap-true",
     ],
 )
 def test_verify_malformed_report_exits_64(capsys, tmp_path, argv, mangle):
@@ -667,6 +707,28 @@ def test_verify_product_report_against_emitted_file(capsys, tmp_path):
     report_path = write_report(tmp_path, out)
     vcode, vout, _ = run(capsys, "verify", out_path, report_path)
     assert vcode == 0 and json.loads(vout)["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"n": 3, "m": 999}, {"n": 3}, {"m": 999}, {"m": None}],
+    ids=["both", "n", "m", "m-null"],
+)
+def test_verify_replays_a_product_reports_n_and_m(capsys, tmp_path, counts):
+    # C5[K2] has 10 vertices and 25 edges; a report that says otherwise
+    # used to verify, since its n and m were never read
+    out_path = tmp_path / "c5k2.graph"
+    _, out, _ = run(
+        capsys,
+        "product", FIXTURES / "c5.graph", FIXTURES / "k2.graph", "--op", "lex",
+        "--out", out_path,
+    )
+    report = json.loads(out)
+    assert (report["n"], report["m"]) == (10, 25)
+    for report, code in ((report, 0), ({**report, **counts}, 1)):
+        report_path = write_report(tmp_path, json.dumps(report))
+        vcode, vout, _ = run(capsys, "verify", out_path, report_path)
+        assert vcode == code and json.loads(vout)["valid"] is (code == 0)
 
 
 @pytest.mark.parametrize(
@@ -754,6 +816,20 @@ def test_verify_rejects_a_number_on_a_report_that_is_not_ok(capsys, tmp_path, ar
 
 LEX_K2_C6 = ("product", FIXTURES / "k2.graph", FIXTURES / "c6.graph", "--op", "lex",
              "--numbers", "--out", "lex.graph")
+LEX_K2_K2 = ("product", FIXTURES / "k2.graph", FIXTURES / "k2.graph", "--op", "lex",
+             "--numbers", "--out", "lex.graph")
+
+
+def non_uniform(word: str):
+    """A mangle that puts ``word`` in the certificate with k and r null."""
+    return lambda report: {
+        **report, "certificate": {**report["certificate"], "word": word, "k": None},
+        "numbers": {**report["numbers"], "r": None},
+    }
+
+
+def appended_zero(report):
+    return non_uniform(report["certificate"]["word"] + " 0")(report)
 
 
 @pytest.mark.parametrize(
@@ -765,8 +841,16 @@ LEX_K2_C6 = ("product", FIXTURES / "k2.graph", FIXTURES / "c6.graph", "--op", "l
         (("prn", FIXTURES / "c6.graph"), lambda report: {**report, "numbers": {"prn": None}}),
         # the certificate stays, with no number for it to back
         (LEX_K2_C6, lambda report: {**report, "numbers": {**report["numbers"], "r": None}}),
+        # a word that is not uniform has no multiplicity, so it backs no
+        # number, and a null one least of all
+        (("repnum", FIXTURES / "k2.graph"), non_uniform("0 1 0")),
+        (("check", FIXTURES / "c6.graph"), appended_zero),
+        (LEX_K2_K2, non_uniform("0 1 2 3 0")),
     ],
-    ids=["check-c5-r-null", "repnum-c6-r-null", "prn-c6-prn-null", "product-lex-r-null"],
+    ids=[
+        "check-c5-r-null", "repnum-c6-r-null", "prn-c6-prn-null", "product-lex-r-null",
+        "repnum-k2-non-uniform", "check-c6-non-uniform", "product-lex-k2-k2-non-uniform",
+    ],
 )
 def test_verify_rejects_a_positive_claim_without_its_number(
     capsys, tmp_path, monkeypatch, argv, mangle
@@ -791,6 +875,18 @@ def test_verify_rejects_a_certificate_whose_k_is_a_boolean(capsys, tmp_path, com
     report["certificate"]["k"] = True
     report_path = write_report(tmp_path, json.dumps(report))
     vcode, vout, _ = run(capsys, "verify", FIXTURES / "k2.graph", report_path)
+    assert vcode == 1
+    assert json.loads(vout)["valid"] is False
+
+
+@pytest.mark.parametrize("command", ["check", "repnum"])
+def test_verify_rejects_a_certificate_whose_k_is_not_its_words(capsys, tmp_path, command):
+    # C6's certificate is 2-uniform; the report's k must be null or 2
+    _, out, _ = run(capsys, command, FIXTURES / "c6.graph")
+    report = json.loads(out)
+    report["certificate"]["k"] = 3
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vout, _ = run(capsys, "verify", FIXTURES / "c6.graph", report_path)
     assert vcode == 1
     assert json.loads(vout)["valid"] is False
 

@@ -21,7 +21,6 @@ from wordrep import (
     poset_dimension,
     poset_of,
 )
-from wordrep.graphs import iter_bits
 from wordrep.orientations import Orientation, Poset, _closure, _place
 from helpers import (
     atlas_connected,
@@ -53,6 +52,34 @@ def test_orient_validates():
         orient(k2, [])
     with pytest.raises(ValueError):
         orient(k2, [(0, 2)])
+
+
+def test_orient_rejects_a_vertex_outside_the_graph():
+    # (-1, 0) used to pass as the arc 1 -> 0 and be kept as (-1, 0)
+    with pytest.raises(ValueError, match=r"outside 0\.\.1$"):
+        orient(make_graph(2, [(0, 1)]), [(-1, 0)])
+
+
+def test_an_orientation_stores_only_its_successor_masks(monkeypatch):
+    # arcs is built from the masks on each read: it round-trips through
+    # orient, is not kept, and no check reads it
+    reads = []
+    arcs = Orientation.arcs
+
+    def counted(o):
+        reads.append(o)
+        return arcs.fget(o)
+
+    firsts = [o for o in map(find_transitive_orientation, atlas_connected(6)) if o is not None]
+    assert len(firsts) > 100
+    for o in firsts:
+        assert orient(o.base, o.arcs) == o
+        assert sorted(vars(o)) == ["base", "succ"]
+    monkeypatch.setattr(Orientation, "arcs", property(counted))
+    for g in atlas_connected(6):
+        o = find_transitive_orientation(g)
+        assert o is None or is_transitive(o) and is_semi_transitive(o)
+    assert reads == []
 
 
 def test_k2_both_orientations_transitive():
@@ -350,7 +377,7 @@ def test_placement_step_matches_the_definition_at_every_prefix():
                 masks = by_adj
             placed |= 1 << v
             prefix = [s & placed if placed >> x & 1 else 0 for x, s in enumerate(succ)]
-            sub = Orientation(g, frozenset((x, y) for x in range(n) for y in iter_bits(prefix[x])))
+            sub = Orientation(g, tuple(prefix))
             assert (masks is not None) == brute_is_semi_transitive(sub), (arcs, v)
             if masks is not None:
                 desc = _closure(n, prefix)

@@ -47,13 +47,13 @@ from oracles import (
 
 def test_representation_validates_on_construction():
     k2 = make_graph(2, [(0, 1)])
-    Representation((0, 1, 0, 1), 2, "general", k2)
+    Representation((0, 1, 0, 1), "general", k2)
     with pytest.raises(ValueError):
-        Representation((0, 0, 1, 1), 2, "general", k2)  # wrong graph
+        Representation((0, 0, 1, 1), "general", k2)  # wrong graph
     with pytest.raises(ValueError):
-        Representation((0, 1, 0, 1), 3, "general", k2)  # wrong multiplicity
+        Representation((0, 1, 0), "general", k2)  # not uniform
     with pytest.raises(ValueError):
-        Representation((0, 1, 1, 0), 2, "permutational", complete(2))
+        Representation((0, 1, 1, 0), "permutational", complete(2))
 
 
 def test_rep_number_k2_is_one():
@@ -363,9 +363,9 @@ def test_padding_by_repeating_last_permutation_keeps_graph():
 def test_substitute_representation_k1_into_k2():
     k2 = make_graph(2, [(0, 1)])
     plan = SubstitutionPlan(
-        outer=Representation((0, 1), 1, "permutational", k2),
+        outer=Representation((0, 1), "permutational", k2),
         pivot=0,
-        inner=Representation((0,), 1, "permutational", make_graph(1, [])),
+        inner=Representation((0,), "permutational", make_graph(1, [])),
     )
     rep = substitute_representation(plan)
     assert rep.k == 1 and rep.target == k2
@@ -392,7 +392,7 @@ def test_substitute_representation_k2_into_k2_gives_k3():
 def test_substitute_representation_requires_permutational_inner():
     k2 = make_graph(2, [(0, 1)])
     outer = rep_number(k2)
-    bad_inner = Representation((0, 1, 0, 1), 2, "general", complete(2))
+    bad_inner = Representation((0, 1, 0, 1), "general", complete(2))
     with pytest.raises(ValueError):
         substitute_representation(SubstitutionPlan(outer, 0, bad_inner))
 
