@@ -92,9 +92,18 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, 
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} not in 0..{g.n - 1}")
     relabel = {old: new for new, old in enumerate(vs)}
-    mask = sum(1 << v for v in vs)
-    adj = tuple(sum(1 << relabel[v] for v in iter_bits(g.adj[u] & mask)) for u in vs)
-    return Graph(len(vs), adj), relabel
+    moved = {1 << old: 1 << new for old, new in relabel.items()}  # old bit -> new bit
+    mask = sum(moved)
+    adj = []
+    for u in vs:
+        rest = g.adj[u] & mask
+        row = 0
+        while rest:
+            low = rest & -rest
+            row |= moved[low]
+            rest ^= low
+        adj.append(row)
+    return Graph(len(vs), tuple(adj)), relabel
 
 
 def is_connected(g: Graph) -> bool:

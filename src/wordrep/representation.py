@@ -91,6 +91,31 @@ every k-uniform representing word has a rotation that starts with 0; and
 words that start with 0 sort first, so the lexicographic order of the words
 found is unchanged.
 
+``representing_words`` checks its arguments at the call and returns the
+generator ``_letter_search``, one loop over an explicit undo stack, so the
+length of a word is bounded by memory and not by Python's recursion limit
+(the path P1001 at k = 2 takes 2,002 entries). Each append of a letter c
+pushes (c, flipped, pending[c] before the append, newly, first); a pop
+undoes that append and the loop goes on with candidate c + 1. Letters are
+tried in the order a recursive search tries them, so the words come out in
+the same lexicographic order. Two masks replace scans over the letters:
+
+* ``flipped``, the letters d whose ``pending[d]`` holds bit c, is
+  ``seen & ~pending[c] & ~(1 << c)``. Bit c of ``pending[d]`` is set iff d
+  has occurred and c has not occurred since d's last occurrence. Take
+  d != c. If d has not occurred, ``pending[d]`` is 0 and d is not in
+  ``seen``. If d has occurred and c has not, bit c of ``pending[d]`` is set
+  and ``pending[c]`` is 0. If both have occurred, their last occurrences
+  differ, and only the letter that occurred last holds the other's bit. So
+  for a seen d, bit c of ``pending[d]`` is set iff bit d of ``pending[c]``
+  is clear.
+* ``scarce`` holds the letters with fewer than two copies left: every
+  letter at the start when k = 1, none when k >= 2. Only an append and its
+  pop change ``remaining[c]``; the append sets bit c when it leaves one
+  copy, and the pop clears it when it gives back the second. So ``scarce``
+  is {d : remaining[d] < 2} at every step, and the collide cut asks
+  ``alive & scarce`` for "some alive letter has fewer than two copies".
+
 ``prn`` goes through the induced poset: a smallest realizer by linear
 extensions, concatenated, is a minimal permutation representation. Every
 returned representation re-verifies against its target on construction, so
@@ -103,7 +128,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, DomainError
-from .graphs import Graph, iter_bits, make_graph
+from .graphs import Graph, make_graph
 from .modular import lex_product, substitute
 from .orientations import (
     DEFAULT_ORACLE_EDGE_CAP,
@@ -154,95 +179,133 @@ class Representation:
 
 
 def representing_words(g: Graph, k: int) -> Iterator[Word]:
-    """Yield every k-uniform word representing g, in lexicographic order."""
-    n = g.n
-    if n < 1:
+    """Yield every k-uniform word representing g, in lexicographic order.
+
+    The arguments are checked at the call; the search runs as the words are
+    read."""
+    if g.n < 1:
         raise ValueError("representation search needs at least one vertex")
     if k < 1:
         raise ValueError(f"uniformity must be >= 1, got {k}")
-    adj = g.adj
+    return _letter_search(g.adj, k)
+
+
+def _sink_keeps_semi_transitive(adj: tuple[int, ...], anc: list[int], seen: int, c: int) -> bool:
+    """c first appears after the letters in ``seen``: its seen neighbours u
+    point to it, and each arc u -> c must have a transitively oriented
+    interval. Writes ``anc[c]``."""
+    into = adj[c] & seen
+    reach = 0
+    rest = into
+    while rest:
+        low = rest & -rest
+        reach |= anc[low.bit_length() - 1] | low
+        rest ^= low
+    anc[c] = reach
+    while into:
+        low = into & -into
+        u = low.bit_length() - 1
+        into ^= low
+        later = reach & ~anc[u] & ~low  # may lie inside u -> c
+        inner = 0
+        while later:
+            x = later & -later
+            if anc[x.bit_length() - 1] >> u & 1:
+                inner |= x
+            later ^= x
+        if not inner & (inner - 1):  # fewer than two inner letters
+            continue
+        interval = rest = inner | low | 1 << c
+        while rest:
+            x = rest & -rest
+            b = x.bit_length() - 1
+            if anc[b] & interval & ~adj[b]:
+                return False
+            rest ^= x
+    return True
+
+
+def _letter_search(adj: tuple[int, ...], k: int) -> Iterator[Word]:
+    """The search behind ``representing_words``, one loop over an undo stack."""
+    n = len(adj)
     full = (1 << n) - 1
     nonadj = [full & ~adj[c] & ~(1 << c) for c in range(n)]
     remaining = [k] * n
+    scarce = full if k < 2 else 0  # letters with fewer than two copies left
     pending = [0] * n  # bit d of pending[c]: pair (c,d) last saw c
     violated = [0] * n  # symmetric: non-adjacent pairs that already collided
     seen = 0  # letters that occur in the prefix
     anc = [0] * n  # for a seen letter: the seen letters with a path to it
-    word: list[int] = []
+    # per letter of the prefix: (c, flipped, pending[c] before, newly, first)
+    stack: list[tuple[int, int, int, int, bool]] = []
     total = n * k
     found = False
-
-    def sink_keeps_semi_transitive(c: int) -> bool:
-        # c first appears: its seen neighbours u point to it, and each arc
-        # u -> c must have a transitively oriented interval
-        into = adj[c] & seen
-        reach = 0
-        for u in iter_bits(into):
-            reach |= anc[u] | 1 << u
-        anc[c] = reach
-        for u in iter_bits(into):
-            later = reach & ~anc[u] & ~(1 << u)  # may lie inside u -> c
-            inner = 0
-            for x in iter_bits(later):
-                if anc[x] >> u & 1:
-                    inner |= 1 << x
-            if not inner & (inner - 1):  # fewer than two inner letters
-                continue
-            interval = inner | 1 << u | 1 << c
-            for b in iter_bits(interval):
-                if anc[b] & interval & ~adj[b]:
-                    return False
-        return True
-
-    def dfs(pos: int) -> Iterator[Word]:
-        nonlocal found, seen
-        if pos == total:
-            found = True
-            yield tuple(word)
-            return
-        for c in range(n):
-            if not pos and c and not found:
+    c = 0  # the next letter to try at position len(stack)
+    while True:
+        if c < n:
+            if not stack and c and not found:
                 return  # rotation cut: no word starts with 0, so none exists
             rc = remaining[c] - 1
-            if rc < 0:
-                continue
             dead = pending[c]
-            if dead & adj[c]:
+            if rc < 0 or dead & adj[c]:
+                c += 1
                 continue
             newly = dead & nonadj[c] & ~violated[c]
-            if rc == 0:
-                alive = nonadj[c] & ~violated[c] & ~newly
-                if any(remaining[d] < 2 for d in iter_bits(alive)):
-                    continue
-            first = not seen >> c & 1
-            if first and not sink_keeps_semi_transitive(c):
+            if not rc and nonadj[c] & ~violated[c] & ~newly & scarce:
+                c += 1
+                continue
+            bit = 1 << c
+            first = not seen & bit
+            if first and not _sink_keeps_semi_transitive(adj, anc, seen, c):
+                c += 1
                 continue
             # apply the append
-            seen |= 1 << c
+            flipped = seen & ~dead & ~bit  # the letters d with bit c in pending[d]
+            seen |= bit
             remaining[c] = rc
-            word.append(c)
-            flipped = [d for d in range(n) if pending[d] >> c & 1]
-            for d in flipped:
-                pending[d] &= ~(1 << c)
-            old_pending_c = pending[c]
-            pending[c] = full ^ (1 << c)
+            if rc == 1:
+                scarce |= bit
+            rest = flipped
+            while rest:
+                low = rest & -rest
+                pending[low.bit_length() - 1] ^= bit
+                rest ^= low
+            pending[c] = full ^ bit
             violated[c] |= newly
-            for d in iter_bits(newly):
-                violated[d] |= 1 << c
-            yield from dfs(pos + 1)
-            # undo
-            for d in iter_bits(newly):
-                violated[d] &= ~(1 << c)
-            violated[c] &= ~newly
-            pending[c] = old_pending_c
-            for d in flipped:
-                pending[d] |= 1 << c
-            word.pop()
-            remaining[c] = rc + 1
-            if first:
-                seen &= ~(1 << c)
-
-    return dfs(0)
+            rest = newly
+            while rest:
+                low = rest & -rest
+                violated[low.bit_length() - 1] |= bit
+                rest ^= low
+            stack.append((c, flipped, dead, newly, first))
+            if len(stack) < total:
+                c = 0
+                continue
+            found = True
+            yield tuple([entry[0] for entry in stack])
+        # undo the last append and try the next letter in its place
+        if not stack:
+            return
+        c, flipped, dead, newly, first = stack.pop()
+        bit = 1 << c
+        rest = newly
+        while rest:
+            low = rest & -rest
+            violated[low.bit_length() - 1] ^= bit
+            rest ^= low
+        violated[c] ^= newly
+        pending[c] = dead
+        rest = flipped
+        while rest:
+            low = rest & -rest
+            pending[low.bit_length() - 1] ^= bit
+            rest ^= low
+        remaining[c] += 1
+        if remaining[c] == 2:
+            scarce ^= bit
+        if first:
+            seen ^= bit
+        c += 1
 
 
 def _placements(word: Sequence[int], k: int, near: int, far: int) -> Iterator[list[int]]:

@@ -5,6 +5,7 @@ from wordrep import (
     induced_subgraph,
     is_connected,
     make_graph,
+    maximal_modular_partition,
     neighborhood,
     set_adjacency,
 )
@@ -14,6 +15,8 @@ from oracles import brute_induced_subgraph
 
 import random
 import re
+import sys
+from pathlib import Path
 
 
 def test_make_graph_k2():
@@ -165,6 +168,23 @@ def test_induced_subgraph_matches_a_build_from_edge_tuples():
             sub, relabel = induced_subgraph(g, subset)
             assert sub == brute_induced_subgraph(g, subset)
             assert relabel == {v: i for i, v in enumerate(sorted(subset))}
+
+
+def test_induced_subgraph_matches_a_build_from_edge_tuples_on_composite_blocks():
+    # every block of the maximal modular partition of the benchmark's
+    # composite inputs at seed 1, the blocks the decomposition induces
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    blocks = 0
+    for case in workloads.composite(1, 20):
+        g = make_graph(case.n, case.edges)
+        for block in maximal_modular_partition(g).blocks:
+            sub, relabel = induced_subgraph(g, block)
+            assert sub == brute_induced_subgraph(g, block)
+            assert relabel == {v: i for i, v in enumerate(sorted(block))}
+            blocks += 1
+    assert blocks == 1834
 
 
 @pytest.mark.parametrize(

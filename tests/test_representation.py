@@ -233,6 +233,29 @@ def test_decider_rejects_bad_arguments():
         exists_word(make_graph(0, []), 2)
 
 
+def test_letter_search_rejects_bad_arguments_at_the_call():
+    # no next(): the checks run when the generator is made, not when it is read
+    with pytest.raises(ValueError):
+        representing_words(make_graph(0, []), 2)
+    with pytest.raises(ValueError):
+        representing_words(complete(2), 0)
+
+
+def test_letter_search_finds_a_word_for_a_long_path():
+    # one stack entry per letter, 2,002 of them: a recursive search ran past
+    # Python's recursion limit here
+    g = path_graph(1001)
+    assert represents(next(representing_words(g, 2)), g)
+
+
+def test_letter_search_finds_a_one_uniform_word_only_for_complete_graphs():
+    # at k = 1 every letter starts with fewer than two copies left
+    for g in atlas_connected(5):
+        word = next(representing_words(g, 1), None)
+        assert (word is not None) == (g.m == g.n * (g.n - 1) // 2), g
+        assert word is None or word == tuple(range(g.n))
+
+
 def test_rep_number_refutes_wheels_at_a_high_cap_quickly():
     # levels 2..7 of a graph with no word: the oracle ends the search after
     # level 2, where an insertion search would list every word of the graph
