@@ -46,16 +46,12 @@ from .orientations import (
 )
 from .representation import (
     Representation,
-    SubstitutionPlan,
+    compose_product,
     exists_word,
-    lex_prn,
-    lex_rep_number,
     prn,
-    prn_composed,
+    product_certificates,
     rep_number,
-    rep_number_composed,
     representing_words,
-    substitute_representation,
     uniformize,
 )
 from .words import (

@@ -32,12 +32,9 @@ from .orientations import DEFAULT_ORACLE_EDGE_CAP, find_transitive_orientation
 from .representation import (
     DEFAULT_WORD_CAP,
     Representation,
-    lex_prn,
-    lex_rep_number,
     prn,
-    prn_composed,
+    product_certificates,
     rep_number,
-    rep_number_composed,
 )
 from .words import word_from_text, word_to_text
 
@@ -214,20 +211,20 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
     g, echo_g = _load_graph(args.path_g, connected=False)
     h, echo_h = _load_graph(args.path_h, connected=False)
-    if args.op == "substitute":
-        if args.at is None:
-            raise InputError("--op substitute requires --at PIVOT")
-        if not 0 <= args.at < g.n:
-            raise InputError(f"pivot {args.at} not in 0..{g.n - 1}")
+    if (args.op == "substitute") != (args.at is not None):
+        raise InputError("--op substitute requires --at PIVOT, and --op lex takes none")
+    if args.at is None:
+        product, _ = lex_product(g, h)
+    elif 0 <= args.at < g.n:
         product, _, _ = substitute(g, args.at, h)
     else:
-        product, _ = lex_product(g, h)
+        raise InputError(f"pivot {args.at} not in 0..{g.n - 1}")
     caps = Caps(args.word_cap, args.oracle_cap)
     report = {
         "command": "product",
         "inputs": [echo_g, echo_h],
         "op": args.op,
-        "at": args.at if args.op == "substitute" else None,
+        "at": args.at,
         "status": "ok",
         "caps": _caps_json(caps),
         "graph_file": format_graph_text(product),
@@ -235,22 +232,17 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
         "m": product.m,
     }
     if args.numbers:
-        if args.op == "substitute":
-            word_of, perm_of, factors = rep_number_composed, prn_composed, (g, args.at, h)
-        else:
-            word_of, perm_of, factors = lex_rep_number, lex_prn, (g, h)
-        numbers = report["numbers"] = {"r": None, "prn": None}
-        report["certificate"] = report["perm_certificate"] = None
+        rep = perm = capped = None
         try:
-            rep = word_of(*factors, caps.word_cap, caps.oracle_edge_cap)
-            numbers["r"], report["certificate"] = rep.k, _cert_json(rep)
-            perm = perm_of(*factors, caps.word_cap)
-            numbers["prn"], report["perm_certificate"] = perm.k, _cert_json(perm)
+            rep, perm, capped = product_certificates(g, h, args.at, args.word_cap, args.oracle_cap)
         except DomainError as exc:
-            if numbers["r"] is None:  # else h is a comparability graph, and g is not
-                report["numbers_error"] = str(exc)
+            report["numbers_error"] = str(exc)
         except CapExceeded as exc:
-            report["numbers_error"] = f"cap exceeded: {exc}"
+            capped = str(exc)
+        report["numbers"] = {"r": rep.k if rep else None, "prn": perm.k if perm else None}
+        report["certificate"], report["perm_certificate"] = _cert_json(rep), _cert_json(perm)
+        if capped is not None:
+            report["numbers_error"] = f"cap exceeded: {capped}"
     if args.out is not None:
         write_graph_file(args.out, product)
     return report, EXIT_OK

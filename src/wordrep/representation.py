@@ -541,129 +541,91 @@ def compose(
 _POINT = closed_form_prn(make_graph(1, []))
 
 
-@dataclass(frozen=True)
-class SubstitutionPlan:
-    """Inputs for building a word for the graph 'outer with pivot replaced by inner'."""
-
-    outer: Representation
-    pivot: int
-    inner: Representation
-
-
-def substitute_representation(plan: SubstitutionPlan) -> Representation:
-    """Build a representation of substitute(outer, pivot, inner) from the parts.
-
-    The pivot letter is blown up by the inner side's permutations and every
-    other letter stands for itself (see ``compose``). If the outer word is
-    permutational the result is permutational.
-    """
-    outer, inner = plan.outer, plan.inner
+def compose_product(
+    outer: Representation, inner: Representation, at: int | None = None
+) -> Representation:
+    """A representation, in ``outer``'s mode, of inner's target substituted
+    at vertex ``at`` of outer's, or of the lex product outer[inner] when
+    ``at`` is None: ``compose`` with inner's permutations for the pivot
+    letter, or for every letter, and each other letter left for itself."""
     if inner.mode != PERMUTATIONAL:
         raise ValueError("the inner representation must be permutational")
-    g = outer.target
-    result, g_map, m_map = substitute(g, plan.pivot, inner.target)
-    blocks = [inner if c == plan.pivot else _POINT for c in range(g.n)]
-    labels = [
-        [m_map[x] for x in range(inner.target.n)] if c == plan.pivot else [g_map[c]]
-        for c in range(g.n)
-    ]
-    return compose(outer, blocks, labels, result, outer.mode)
+    g, h = outer.target, inner.target
+    if at is None:
+        product, label = lex_product(g, h)
+        blocks = [inner] * g.n
+        labels = [[label[(c, x)] for x in range(h.n)] for c in range(g.n)]
+    else:
+        product, g_map, h_map = substitute(g, at, h)
+        blocks = [inner if c == at else _POINT for c in range(g.n)]
+        labels = [[h_map[x] for x in range(h.n)] if c == at else [g_map[c]] for c in range(g.n)]
+    return compose(outer, blocks, labels, product, outer.mode)
 
 
-def _lex_representation(g_rep: Representation, h_rep: Representation) -> Representation:
-    """Every letter of g's word blown up by h's permutations, in g's mode."""
-    g, h = g_rep.target, h_rep.target
-    product, label = lex_product(g, h)
-    labels = [[label[(c, x)] for x in range(h.n)] for c in range(g.n)]
-    return compose(g_rep, [h_rep] * g.n, labels, product, g_rep.mode)
-
-
-def _word_factors(
-    g: Graph, h: Graph, cap: int, oracle_edge_cap: int, names: tuple[str, str, str]
-) -> tuple[Representation, Representation]:
-    """A minimal uniform word for the outer graph g and a minimal
-    permutational one for h; ``names`` reads (outer, inner, composed graph)
-    in the DomainError texts."""
-    outer_name, inner_name, result_name = names
-    h_rep = prn(h, cap)
-    if h_rep is None and find_transitive_orientation(h) is None:
-        raise DomainError(
-            f"{inner_name} admits no transitive orientation, so the "
-            f"{result_name} is not word-representable"
-        )
-    # comparability implies word-representable, and the orientation search
-    # for a transitive orientation is much cheaper than full enumeration
-    if find_transitive_orientation(g) is None and not exists_semi_transitive_orientation(
-        g, oracle_edge_cap
-    ):
-        raise DomainError(f"{outer_name} is not word-representable")
-    g_rep = rep_number(g, cap)
-    if g_rep is None or h_rep is None:
-        raise CapExceeded(f"representation search capped at k={cap}")
-    return g_rep, h_rep
-
-
-def _perm_factors(
-    g: Graph, h: Graph, cap: int, names: tuple[str, str]
-) -> tuple[Representation, Representation]:
-    """Minimal permutational representations of g and h; ``names`` reads
-    (outer, inner graph) in the DomainError texts."""
-    reps = []
-    for graph, name in zip((g, h), names):
-        rep = prn(graph, cap)
-        if rep is None and find_transitive_orientation(graph) is None:
-            raise DomainError(f"{name} is not a comparability graph")
-        reps.append(rep)
-    g_rep, h_rep = reps
-    if g_rep is None or h_rep is None:
-        raise CapExceeded(f"realizer search capped at k={cap}")
-    return g_rep, h_rep
-
-
-def rep_number_composed(
-    g: Graph,
-    pivot: int,
-    inner: Graph,
-    cap: int = DEFAULT_WORD_CAP,
-    oracle_edge_cap: int = DEFAULT_ORACLE_EDGE_CAP,
-) -> Representation:
-    """Representation of the substitution at max(R(outer), prn(inner)) multiplicity.
-
-    Requires the outer graph to be word-representable and the inner graph to
-    be a comparability graph; those are exactly the conditions under which
-    the substituted graph is word-representable at all.
-    """
-    outer_rep, inner_rep = _word_factors(
-        g, inner, cap, oracle_edge_cap, ("outer graph", "inner graph", "substituted graph")
-    )
-    return substitute_representation(SubstitutionPlan(outer_rep, pivot, inner_rep))
-
-
-def prn_composed(
-    g: Graph, pivot: int, inner: Graph, cap: int = DEFAULT_WORD_CAP
-) -> Representation:
-    """Permutational representation of the substitution at max of the two prns."""
-    outer_rep, inner_rep = _perm_factors(g, inner, cap, ("outer graph", "inner graph"))
-    return substitute_representation(SubstitutionPlan(outer_rep, pivot, inner_rep))
-
-
-def lex_rep_number(
+def product_certificates(
     g: Graph,
     h: Graph,
+    at: int | None = None,
     cap: int = DEFAULT_WORD_CAP,
     oracle_edge_cap: int = DEFAULT_ORACLE_EDGE_CAP,
-) -> Representation:
-    """Representation of the lex product at max(R(g), prn(h)) multiplicity.
+) -> tuple[Representation, Representation | None, str | None]:
+    """Certificates for h substituted at vertex ``at`` of g, or for the lex
+    product g[h] when ``at`` is None, orienting each factor at most once.
 
-    The product is word-representable iff g is and h is a comparability
-    graph; the word substitutes h's permutations for every letter of a
-    uniform word for g.
+    Returns a word at max(R(g), prn(h)) = R(product); a word of permutations
+    at max(prn(g), prn(h)) = prn(product), dimension being monotone on
+    subposets, or None if g is not a comparability graph or its realizer
+    stops at ``cap``; and that stop's message or None. Raises DomainError if
+    the product is not word-representable (g is not, or h is not a
+    comparability graph) or R is not known, CapExceeded if the oracle on g
+    passes ``oracle_edge_cap`` or a factor has no word within ``cap``.
+
+    Why R is known. R(product) >= R(g), g being an induced subgraph, and a
+    cone over h (h and a vertex joined to all of it) has R = prn(h) (Kitaev
+    & Seif, *Order* 2008). The product holds one iff the pivot has a
+    neighbour in g or, for the lex product, g has an edge. Without one, the
+    max is still R(product) when prn(h) <= max(R(g), 2), since prn(h) = 2
+    only for a non-complete h, and then R(product) >= 2; it need not be
+    otherwise: K1[C6] = C6 has R = 2 and prn(C6) = 3.
     """
-    return _lex_representation(
-        *_word_factors(g, h, cap, oracle_edge_cap, ("first factor", "second factor", "product"))
+    outer, inner, result = (
+        ("first factor", "second factor", "product")
+        if at is None
+        else ("outer graph", "inner graph", "substituted graph")
     )
-
-
-def lex_prn(g: Graph, h: Graph, cap: int = DEFAULT_WORD_CAP) -> Representation:
-    """Permutational representation of the lex product at max of the two prns."""
-    return _lex_representation(*_perm_factors(g, h, cap, ("first factor", "second factor")))
+    h_perm = closed_form_prn(h)
+    if h_perm is None:
+        h_order = find_transitive_orientation(h)
+        if h_order is None:
+            raise DomainError(
+                f"{inner} admits no transitive orientation, so the "
+                f"{result} is not word-representable"
+            )
+        h_perm = prn_of_orientation(h_order, cap)
+    # comparability implies word-representable, and the orientation search
+    # for a transitive orientation is much cheaper than full enumeration
+    g_perm = closed_form_prn(g)
+    g_order = None if g_perm is not None else find_transitive_orientation(g)
+    if g_perm is None and g_order is None and not exists_semi_transitive_orientation(
+        g, oracle_edge_cap
+    ):
+        raise DomainError(f"{outer} is not word-representable")
+    g_word = rep_number(g, cap)
+    if g_word is None or h_perm is None or h_perm.k > cap:
+        raise CapExceeded(f"representation search capped at k={cap}")
+    cone = g.m if at is None else g.adj[at]
+    if not cone and h_perm.k > max(g_word.k, 2):
+        raise DomainError(
+            f"no vertex of the {result} is joined to all of the {inner}, so its "
+            f"representation number may be below prn({inner}) = {h_perm.k}"
+        )
+    capped = None
+    if g_order is not None:
+        g_perm = prn_of_orientation(g_order, cap)
+        if g_perm is None:
+            capped = f"realizer search capped at k={cap}"
+    return (
+        compose_product(g_word, h_perm, at),
+        None if g_perm is None else compose_product(g_perm, h_perm, at),
+        capped,
+    )

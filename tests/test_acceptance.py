@@ -19,12 +19,11 @@ from wordrep import (
     find_transitive_orientation,
     induced_subgraph,
     is_module,
-    lex_prn,
     lex_product,
-    lex_rep_number,
     make_graph,
     maximal_modular_partition,
     prn,
+    product_certificates,
     project,
     reconstruct,
     rep_number,
@@ -177,13 +176,13 @@ def test_criterion_7_lex_products():
     assert verify(verdict, join_c5)
 
     join_c6, _ = lex_product(k2, c6)
-    rep = lex_rep_number(k2, c6)
+    rep = product_certificates(k2, c6)[0]
     assert rep.k == 3 and rep.target == join_c6
     verdict6 = classify(join_c6)
     assert wr_status(verdict6) and verdict6.r_number == 3
     assert verify(verdict6, join_c6)
 
-    big = lex_prn(c6, c6)
+    big = product_certificates(c6, c6)[1]
     assert big.target.n == 36
     assert big.k == 3
     assert represents(big.word, big.target)

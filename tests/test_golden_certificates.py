@@ -1,20 +1,19 @@
-"""Exact certificate words, pinned so that refactors of the composition code
-cannot change what the library emits. No other test fixes certificate bytes;
-the byte-stable report test only compares two runs of the same code."""
+"""Exact certificate words of the library calls, pinned so that refactors of
+the composition code cannot change what the library emits. The CLI's report
+bytes are pinned in ``golden_cli.json``, and the letter search's word lists
+and first words in ``golden_word_lists.json`` and
+``golden_word_prefixes.json``; the byte-stable report test only compares two
+runs of the same code."""
 
 import pytest
 
 from wordrep import (
-    SubstitutionPlan,
     classify,
-    lex_prn,
-    lex_rep_number,
+    compose_product,
     make_graph,
     prn,
-    prn_composed,
+    product_certificates,
     rep_number,
-    rep_number_composed,
-    substitute_representation,
     word_to_text,
 )
 from helpers import complete, cycle, path_graph, two_dimensional_order, wheel
@@ -28,9 +27,7 @@ K2_C6_WORD = (
 
 def _w6_plan():
     k2 = make_graph(2, [(0, 1)])
-    return substitute_representation(
-        SubstitutionPlan(outer=rep_number(k2), pivot=0, inner=prn(cycle(6)))
-    )
+    return compose_product(rep_number(k2), prn(cycle(6)), 0)
 
 
 CASES = {
@@ -43,19 +40,19 @@ CASES = {
         (W6_WORD, 3, "permutational"),
     ),
     "lex-rep-number-k2-c6": (
-        lambda: lex_rep_number(complete(2), cycle(6)),
+        lambda: product_certificates(complete(2), cycle(6))[0],
         (K2_C6_WORD, 3, "general"),
     ),
     "lex-prn-k2-c6": (
-        lambda: lex_prn(complete(2), cycle(6)),
+        lambda: product_certificates(complete(2), cycle(6))[1],
         (K2_C6_WORD, 3, "permutational"),
     ),
     "rep-number-composed-c6-0-k2": (
-        lambda: rep_number_composed(cycle(6), 0, complete(2)),
+        lambda: product_certificates(cycle(6), complete(2), 0)[0],
         ("5 6 0 4 5 6 3 4 2 3 1 2 0 1", 2, "general"),
     ),
     "prn-composed-p3-1-k2": (
-        lambda: prn_composed(path_graph(3), 1, complete(2)),
+        lambda: product_certificates(path_graph(3), complete(2), 1)[1],
         ("1 0 2 3 0 1 2 3", 2, "permutational"),
     ),
     "prn-p40": (

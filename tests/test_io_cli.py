@@ -16,6 +16,7 @@ from helpers import (
     complete,
     cone,
     count_searches,
+    crown,
     cycle,
     path_graph,
     random_connected_graph,
@@ -315,6 +316,84 @@ def test_product_substitute_without_pivot_exits_64(capsys):
     )
     assert code == 64 and out == ""
     assert "--at" in err
+
+
+def test_product_lex_with_a_pivot_exits_64(capsys):
+    # --at goes with --op substitute only; lex used to ignore it
+    code, out, err = run(
+        capsys,
+        "product", FIXTURES / "k2.graph", FIXTURES / "c6.graph", "--op", "lex", "--at", "5",
+    )
+    assert code == 64 and out == ""
+    assert "--at" in err
+
+
+def _graph_file(tmp_path, name, g):
+    path = tmp_path / f"{name}.graph"
+    path.write_text(format_graph_text(g))
+    return path
+
+
+K2_K1 = make_graph(3, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "g, op",
+    [
+        (complete(1), ("--op", "lex")),
+        (make_graph(2, []), ("--op", "lex")),
+        (K2_K1, ("--op", "substitute", "--at", "2")),
+    ],
+    ids=["k1-lex-c6", "2k1-lex-c6", "k2+k1-at-2-c6"],
+)
+def test_product_claims_no_r_without_a_cone_over_the_second_factor(capsys, tmp_path, g, op):
+    # each product is C6 or C6 beside a graph with R <= 2, so its R is 2:
+    # max(R(g), prn(C6)) = 3 used to be claimed as r, and verified
+    out_path = tmp_path / "product.graph"
+    code, report = report_of(
+        capsys,
+        "product", _graph_file(tmp_path, "g", g), FIXTURES / "c6.graph", *op,
+        "--numbers", "--out", out_path,
+    )
+    assert code == 0
+    assert report["numbers"]["r"] is None and report["certificate"] is None
+    assert "may be below prn" in report["numbers_error"]
+    report_path = write_report(tmp_path, json.dumps(report))
+    vcode, vreport = report_of(capsys, "verify", out_path, report_path)
+    assert vcode == 0 and vreport["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "g, h, op, r",
+    [
+        (complete(1), path_graph(3), ("--op", "lex"), 2),
+        (K2_K1, cycle(6), ("--op", "substitute", "--at", "0"), 3),
+    ],
+    ids=["k1-lex-p3", "k2+k1-at-0-c6"],
+)
+def test_product_keeps_its_r_with_a_cone_or_a_small_prn(capsys, tmp_path, g, h, op, r):
+    code, report = report_of(
+        capsys,
+        "product", _graph_file(tmp_path, "g", g), _graph_file(tmp_path, "h", h), *op, "--numbers",
+    )
+    assert code == 0 and "numbers_error" not in report
+    assert report["numbers"]["r"] == report["certificate"]["k"] == r
+
+
+@pytest.mark.parametrize("op", [("--op", "lex"), ("--op", "substitute", "--at", "0")])
+def test_product_numbers_orient_and_realize_each_factor_once(capsys, tmp_path, monkeypatch, op):
+    # C6 and the 4-crown: 4 orientations and 3 realizer runs before the one
+    # factor pass
+    import wordrep.cli as cli
+
+    oriented, realized = count_searches(monkeypatch, cli)
+    code, report = report_of(
+        capsys,
+        "product", FIXTURES / "c6.graph", _graph_file(tmp_path, "crown4", crown(4)), *op,
+        "--numbers",
+    )
+    assert code == 0 and report["numbers"] == {"r": 4, "prn": 4}
+    assert oriented == [crown(4), cycle(6)] and len(realized) == 2
 
 
 # ---------------------------------------------------------------------- verify

@@ -7,23 +7,19 @@ from wordrep import (
     CapExceeded,
     DomainError,
     Representation,
-    SubstitutionPlan,
     alternation_graph,
+    compose_product,
     exists_word,
     find_transitive_orientation,
-    lex_prn,
     lex_product,
-    lex_rep_number,
     make_graph,
     orient,
     prn,
-    prn_composed,
+    product_certificates,
     rep_number,
-    rep_number_composed,
     representing_words,
     represents,
     substitute,
-    substitute_representation,
     uniformity,
     uniformize,
 )
@@ -31,6 +27,7 @@ from helpers import (
     atlas_connected,
     complete,
     count_searches,
+    crown,
     cycle,
     empty,
     path_graph,
@@ -308,22 +305,34 @@ def test_prn_rejects_a_cap_below_one():
 
 def test_complete_and_edgeless_graphs_are_neither_oriented_nor_searched(monkeypatch):
     oriented, realized = count_searches(monkeypatch)
-    assert lex_prn(complete(3), complete(2)).k == 1
-    assert prn_composed(complete(2), 0, complete(3)).k == 1
+    assert product_certificates(complete(3), complete(2))[1].k == 1
+    assert product_certificates(complete(2), complete(3), 0)[1].k == 1
+    assert product_certificates(empty(2), complete(2))[1].k == 2
     assert prn(empty(3), 1) is None  # its prn, 2, is past the cap
     assert oriented == realized == []
 
 
 def test_word_products_take_a_complete_or_edgeless_inner_factor_in_closed_form(monkeypatch):
-    # only C6 is oriented, once per call, and only lex_prn runs a realizer;
-    # K2 and the edgeless inner factor used to be oriented and realized too
+    # each factor is oriented and realized at most once, and a complete or
+    # edgeless one not at all; K2 and the edgeless inner factor used to be
+    # oriented and realized too, and C6 twice
     oriented, realized = count_searches(monkeypatch)
-    assert lex_rep_number(cycle(6), complete(2)).k == 2
-    assert lex_prn(cycle(6), complete(2)).k == 3
-    assert oriented == [cycle(6)] * 2 and len(realized) == 1
+    word, perm, _ = product_certificates(cycle(6), complete(2))
+    assert (word.k, perm.k) == (2, 3)
+    assert oriented == [cycle(6)] and len(realized) == 1
     del oriented[:], realized[:]
-    assert rep_number_composed(cycle(6), 0, empty(3)).k == 2
-    assert oriented == [cycle(6)] and realized == []
+    word, perm, _ = product_certificates(cycle(6), empty(3), 0)
+    assert (word.k, perm.k) == (2, 3)
+    assert oriented == [cycle(6)] and len(realized) == 1
+    for at in (None, 0):
+        del oriented[:], realized[:]
+        word, perm, _ = product_certificates(cycle(6), crown(4), at)
+        assert (word.k, perm.k) == (4, 4)
+        assert oriented == [crown(4), cycle(6)] and len(realized) == 2
+    del oriented[:], realized[:]
+    word, perm, _ = product_certificates(complete(2), cycle(6))
+    assert (word.k, perm.k) == (3, 3)
+    assert oriented == [cycle(6)] and len(realized) == 1
 
 
 def test_prn_matches_direct_concatenation_search():
@@ -385,29 +394,22 @@ def test_padding_by_repeating_last_permutation_keeps_graph():
 
 def test_substitute_representation_k1_into_k2():
     k2 = make_graph(2, [(0, 1)])
-    plan = SubstitutionPlan(
-        outer=Representation((0, 1), "permutational", k2),
-        pivot=0,
-        inner=Representation((0,), "permutational", make_graph(1, [])),
-    )
-    rep = substitute_representation(plan)
+    outer = Representation((0, 1), "permutational", k2)
+    inner = Representation((0,), "permutational", make_graph(1, []))
+    rep = compose_product(outer, inner, 0)
     assert rep.k == 1 and rep.target == k2
 
 
 def test_substitute_representation_w6():
     k2 = make_graph(2, [(0, 1)])
-    plan = SubstitutionPlan(
-        outer=rep_number(k2), pivot=0, inner=prn(cycle(6))
-    )
-    rep = substitute_representation(plan)
+    rep = compose_product(rep_number(k2), prn(cycle(6)), 0)
     assert rep.k == 3
     assert rep.target == wheel(6)
 
 
 def test_substitute_representation_k2_into_k2_gives_k3():
     k2 = make_graph(2, [(0, 1)])
-    plan = SubstitutionPlan(outer=prn(k2), pivot=1, inner=prn(complete(2)))
-    rep = substitute_representation(plan)
+    rep = compose_product(prn(k2), prn(complete(2)), 1)
     assert rep.target == complete(3)
     assert rep.k == 1
 
@@ -416,65 +418,68 @@ def test_substitute_representation_requires_permutational_inner():
     k2 = make_graph(2, [(0, 1)])
     outer = rep_number(k2)
     bad_inner = Representation((0, 1, 0, 1), "general", complete(2))
-    with pytest.raises(ValueError):
-        substitute_representation(SubstitutionPlan(outer, 0, bad_inner))
+    for at in (0, None):
+        with pytest.raises(ValueError):
+            compose_product(outer, bad_inner, at)
 
 
 def test_rep_number_composed_examples():
     k2 = make_graph(2, [(0, 1)])
-    assert rep_number_composed(k2, 0, cycle(6)).k == 3
-    assert rep_number_composed(k2, 0, complete(2)).k == 1
-    rep = rep_number_composed(cycle(6), 0, complete(2))
+    assert product_certificates(k2, cycle(6), 0)[0].k == 3
+    assert product_certificates(k2, complete(2), 0)[0].k == 1
+    rep = product_certificates(cycle(6), complete(2), 0)[0]
     assert rep.k == 2 and rep.target.n == 7
 
 
 def test_rep_number_composed_rejects_non_comparability_inner():
     k2 = make_graph(2, [(0, 1)])
     with pytest.raises(DomainError, match="inner"):
-        rep_number_composed(k2, 0, cycle(5))
+        product_certificates(k2, cycle(5), 0)
 
 
 def test_rep_number_composed_rejects_non_representable_outer():
     with pytest.raises(DomainError, match="outer"):
-        rep_number_composed(wheel(5), 0, complete(2))
+        product_certificates(wheel(5), complete(2), 0)
 
 
 def test_prn_composed_examples():
     k2 = make_graph(2, [(0, 1)])
-    assert prn_composed(k2, 0, cycle(6)).k == 3
-    assert prn_composed(k2, 0, complete(2)).k == 1
-    assert prn_composed(path_graph(3), 1, complete(2)).k == 2
+    assert product_certificates(k2, cycle(6), 0)[1].k == 3
+    assert product_certificates(k2, complete(2), 0)[1].k == 1
+    assert product_certificates(path_graph(3), complete(2), 1)[1].k == 2
 
 
 def test_prn_composed_rejects_non_comparability():
+    # a non-comparability inner graph is a DomainError; a word-representable
+    # outer graph that is not a comparability graph leaves only the word
     k2 = make_graph(2, [(0, 1)])
     with pytest.raises(DomainError):
-        prn_composed(k2, 0, cycle(5))
-    with pytest.raises(DomainError):
-        prn_composed(cycle(5), 0, k2)
+        product_certificates(k2, cycle(5), 0)
+    word, perm, capped = product_certificates(cycle(5), k2, 0)
+    assert word.k == 2 and perm is None and capped is None
 
 
 def test_lex_rep_number_examples():
     k2 = make_graph(2, [(0, 1)])
-    assert lex_rep_number(k2, cycle(6)).k == 3
-    assert lex_rep_number(k2, complete(2)).k == 1
-    assert lex_rep_number(cycle(6), k2).k == 2
+    assert product_certificates(k2, cycle(6))[0].k == 3
+    assert product_certificates(k2, complete(2))[0].k == 1
+    assert product_certificates(cycle(6), k2)[0].k == 2
 
 
 def test_lex_rep_number_rejects_non_comparability_second_factor():
     k2 = make_graph(2, [(0, 1)])
     with pytest.raises(DomainError, match="second factor"):
-        lex_rep_number(k2, cycle(5))
+        product_certificates(k2, cycle(5))
 
 
 def test_lex_prn_examples():
     k2 = make_graph(2, [(0, 1)])
-    assert lex_prn(k2, cycle(6)).k == 3
-    assert lex_prn(k2, complete(2)).k == 1
+    assert product_certificates(k2, cycle(6))[1].k == 3
+    assert product_certificates(k2, complete(2))[1].k == 1
 
 
 def test_lex_prn_c6_c6_certificate_on_36_vertices():
-    rep = lex_prn(cycle(6), cycle(6))
+    rep = product_certificates(cycle(6), cycle(6))[1]
     assert rep.k == 3
     assert rep.target.n == 36
     # construction re-verified represents() already; check the split too
@@ -488,22 +493,42 @@ def test_composed_k_matches_brute_force_at_small_scale():
         g = rng.choice(small)
         inner = rng.choice(small)
         pivot = rng.randrange(g.n)
-        rep = rep_number_composed(g, pivot, inner)
+        rep = product_certificates(g, inner, pivot)[0]
         target, _, _ = substitute(g, pivot, inner)
         assert rep.target == target
         assert brute_rep_number(target, cap=3) == rep.k
 
 
 def test_cap_exceeded_signalled():
+    # prn(C6) = 3 is past cap 2, so the inner factor has no word within it;
+    # C5 is no comparability graph, and its oracle's cap error comes out as is
     k2 = make_graph(2, [(0, 1)])
-    with pytest.raises(CapExceeded):
-        rep_number_composed(k2, 0, cycle(6), cap=2)
+    for at in (0, None):
+        with pytest.raises(CapExceeded, match="representation search capped at k=2"):
+            product_certificates(k2, cycle(6), at, cap=2)
+        with pytest.raises(CapExceeded, match="5 edges exceed the orientation-enumeration cap 1"):
+            product_certificates(cycle(5), k2, at, oracle_edge_cap=1)
 
 
 def test_permutational_products_signal_a_capped_realizer():
-    # prn(C6) = 3, so both factors orient but the realizer stops at cap 2
+    # prn(C6) = 3: C6 has its word at k = 2, but its realizer stops at cap
+    # 2, so the product's word comes with the realizer's message
     k2 = make_graph(2, [(0, 1)])
-    with pytest.raises(CapExceeded, match="realizer search capped at k=2"):
-        lex_prn(cycle(6), k2, cap=2)
-    with pytest.raises(CapExceeded, match="realizer search capped at k=2"):
-        prn_composed(k2, 0, cycle(6), cap=2)
+    for at in (0, None):
+        word, perm, capped = product_certificates(cycle(6), k2, at, cap=2)
+        assert word.k == 2 and perm is None
+        assert capped == "realizer search capped at k=2"
+
+
+@pytest.mark.parametrize(
+    "g, at",
+    [(complete(1), None), (empty(2), None), (make_graph(3, [(0, 1)]), 2)],
+    ids=["k1-lex", "2k1-lex", "k2+k1-at-2"],
+)
+def test_a_product_with_no_cone_over_the_inner_factor_claims_no_r(g, at):
+    # each product is C6 or C6 beside a graph with R <= 2, so its R is 2,
+    # not max(R(g), prn(C6)) = 3: it is not complete and has a 2-uniform word
+    with pytest.raises(DomainError, match=r"may be below prn\(.*\) = 3"):
+        product_certificates(g, cycle(6), at)
+    product = lex_product(g, cycle(6))[0] if at is None else substitute(g, at, cycle(6))[0]
+    assert exists_word(product, 2)
