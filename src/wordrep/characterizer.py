@@ -6,13 +6,14 @@ modular partition induces a comparability graph and the quotient is
 word-representable; when it is, the representation number is the max of the
 quotient's representation number and the blocks' permutation-representation
 numbers. A block that fails comparability is a checkable witness of
-non-word-representability. Complete and edgeless blocks, single vertices
-included, are always comparability graphs and get their permutational
-certificates in closed form (``closed_form_prn``), checked on construction
-like every other, without an orientation or a realizer search. By Gallai's
-theorem the quotient of a connected graph is complete or prime, so it is
-decided directly and only the top level of the modular decomposition tree
-is ever computed. Complete graphs get the identity word. Prime graphs get
+non-word-representability. Complete and edgeless blocks are always
+comparability graphs and get their permutational certificates in closed
+form (``closed_form_prn``), checked on construction like every other,
+without an orientation or a realizer search; single vertices share one K1
+certificate, built and checked once. By Gallai's theorem the quotient of a
+connected graph is complete or prime, so it is decided directly and only
+the top level of the modular decomposition tree is ever computed.
+Complete graphs get the identity word. Prime graphs get
 transitive orientation first, then the semi-transitive oracle when there is
 none, then bounded word search; a comparability graph gets its prn before
 word search, which then needs to go no higher than prn, since R <= prn.
@@ -40,6 +41,7 @@ from .representation import (
     GENERAL,
     PERMUTATIONAL,
     Representation,
+    _POINT,
     closed_form_prn,
     compose,
     prn,
@@ -110,9 +112,14 @@ def _block_prn_searches(
     Blocks are oriented lazily, in block order, so a caller that stops at
     the first failure orients nothing past it. A complete or edgeless block
     is a comparability graph and is not oriented: its search is ``prn``,
-    which gives it the closed form within the cap.
+    which gives it the closed form within the cap. A single vertex's search
+    returns the one K1 certificate, ``_POINT``, at every cap (caps are at
+    least 1).
     """
     for block in partition.blocks:
+        if len(block) == 1:
+            yield block, lambda cap: _POINT
+            continue
         bg, _ = induced_subgraph(partition.base, block)
         if bg.m == 0 or _is_complete(bg):
             yield block, partial(prn, bg)

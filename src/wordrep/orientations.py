@@ -12,10 +12,11 @@ cycle or a shortcut; it is still exponential in the worst case and is
 guarded by an edge-count cap. It keeps reachability masks only, which grow
 with each placed vertex: only the new vertex's row and column, the cycles
 through it and the intervals it joins are new, and each arc's direction is
-read off the graph's neighbour masks (``_place``). ``is_semi_transitive``
-places the vertices of one orientation the same way. The realizer search
-over linear extensions starts each slot from one descendant-mask closure
-(``_closure``).
+read off the graph's neighbour masks (``_place``). A step checks the masks
+it would write by reading them in place and copies them only when the
+vertex is placed. ``is_semi_transitive`` places the vertices of one
+orientation the same way. The realizer search over linear extensions
+starts each slot from one descendant-mask closure (``_closure``).
 """
 
 from __future__ import annotations
@@ -123,30 +124,63 @@ def _place(
     so the orientation is acyclic, and only from a to the b in dv | v, which
     a reaches through v, and from x to desc[x]: pairs where x reaches y. An
     edge xy is then the arc x -> y, since y -> x would close a cycle.
+
+    Why the check reads the masks in place. The masks after the step differ
+    from ``desc`` only on av | v, where desc[x] gains v and dv and v's own
+    mask is dv, and from ``anc`` only on dv | v, where anc[y] gains v and av
+    and v's own mask is av. So the check reads those expressions and sees
+    exactly the masks the step returns, and the inputs, which the search
+    reads again on backtrack, are copied only once every interval passes.
     """
     bit = 1 << v
     dv = av = 0
-    for w in iter_bits(out):
-        dv |= desc[w] | 1 << w
-    for u in iter_bits(into):
-        av |= anc[u] | 1 << u
-    if dv & av:  # a cycle; the interval check would find it too, after the copies
+    rest = out
+    while rest:
+        low = rest & -rest
+        dv |= desc[low.bit_length() - 1] | low
+        rest ^= low
+    rest = into
+    while rest:
+        low = rest & -rest
+        av |= anc[low.bit_length() - 1] | low
+        rest ^= low
+    if dv & av:  # a cycle; the interval check would find it too
         return None
-    desc, anc = desc[:], anc[:]
-    for x in iter_bits(av):
-        desc[x] |= bit | dv
-    for y in iter_bits(dv):
-        anc[y] |= bit | av
-    desc[v], anc[v] = dv, av
-    for a in iter_bits(av | bit):
-        for b in iter_bits(adj[a] & (dv | bit)):
-            inner = desc[a] & anc[b]
+    dvb, avb = dv | bit, av | bit
+    left = avb
+    while left:
+        low_a = left & -left
+        left ^= low_a
+        a = low_a.bit_length() - 1
+        reach_a = dv if a == v else desc[a] | dvb  # a's descendants after the step
+        right = adj[a] & dvb
+        while right:
+            low_b = right & -right
+            right ^= low_b
+            b = low_b.bit_length() - 1
+            inner = reach_a & (av if b == v else anc[b] | avb)
             if not inner & (inner - 1):  # fewer than two inner vertices
                 continue
-            interval = inner | (1 << a) | (1 << b)
-            for x in iter_bits(interval):
-                if desc[x] & interval & ~adj[x]:
+            interval = rest = inner | low_a | low_b
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                reach = dv if x == v else desc[x] | dvb if low & av else desc[x]
+                if reach & interval & ~adj[x]:
                     return None
+    desc, anc = desc[:], anc[:]
+    rest = av
+    while rest:
+        low = rest & -rest
+        desc[low.bit_length() - 1] |= dvb
+        rest ^= low
+    rest = dv
+    while rest:
+        low = rest & -rest
+        anc[low.bit_length() - 1] |= avb
+        rest ^= low
+    desc[v], anc[v] = dv, av
     return desc, anc
 
 

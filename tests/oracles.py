@@ -116,6 +116,36 @@ def _full_closure_semi_transitive(n: int, succ: list[int]) -> bool:
     return True
 
 
+def copy_first_place(v: int, out: int, into: int, adj, desc: list[int], anc: list[int]):
+    """The oracle's placement step written the plain way: copy the masks,
+    add v to the copies, then check each interval on the copies. Returns
+    (the new masks or None, "placed", "cycle" or "interval")."""
+    bit = 1 << v
+    dv = av = 0
+    for w in iter_bits(out):
+        dv |= desc[w] | 1 << w
+    for u in iter_bits(into):
+        av |= anc[u] | 1 << u
+    if dv & av:
+        return None, "cycle"
+    desc, anc = desc[:], anc[:]
+    for x in iter_bits(av):
+        desc[x] |= bit | dv
+    for y in iter_bits(dv):
+        anc[y] |= bit | av
+    desc[v], anc[v] = dv, av
+    for a in iter_bits(av | bit):
+        for b in iter_bits(adj[a] & (dv | bit)):
+            inner = desc[a] & anc[b]
+            if not inner & (inner - 1):  # fewer than two inner vertices
+                continue
+            interval = inner | (1 << a) | (1 << b)
+            for x in iter_bits(interval):
+                if desc[x] & interval & ~adj[x]:
+                    return None, "interval"
+    return (desc, anc), "placed"
+
+
 def reference_semi_transitive_search(g: Graph) -> bool:
     """The orientation search with a full check at every node: the same
     placement order, choices and cuts as the library's oracle, but each node

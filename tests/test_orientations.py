@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ from wordrep import (
     poset_dimension,
     poset_of,
 )
-from wordrep.orientations import Orientation, Poset, _closure, _place
+from wordrep import orientations
+from wordrep.orientations import Orientation, Poset, _closure, _place, placement_order
 from helpers import (
     atlas_connected,
     complete,
@@ -29,6 +31,8 @@ from helpers import (
     cycle,
     graph6_graphs,
     path_graph,
+    petersen,
+    prism,
     random_graph,
     wheel,
 )
@@ -37,6 +41,7 @@ from oracles import (
     brute_exists_semi_transitive,
     brute_has_transitive_orientation,
     brute_is_semi_transitive,
+    copy_first_place,
     reference_realizer,
     reference_semi_transitive_search,
 )
@@ -383,6 +388,61 @@ def test_placement_step_matches_the_definition_at_every_prefix():
                 desc = _closure(n, prefix)
                 anc = [sum(1 << x for x in range(n) if desc[x] >> y & 1) for y in range(n)]
                 assert masks == (desc, anc)
+
+
+def test_placement_step_leaves_its_inputs_alone():
+    # the oracle starts every step slot from one shared pair of lists and
+    # reads a step's masks again on backtrack, so the step must never write
+    # the lists it is given, whether it places v, finds a cycle or fails an
+    # interval; and it returns what the copy-first step returns. Seeded
+    # random graphs in placement order, every choice of arcs at each step,
+    # going on from a random placed one
+    rng = random.Random(32)
+    seen = Counter()
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(2, 9), rng.random())
+        masks = ([0] * g.n, [0] * g.n)
+        for v, below in placement_order(g):
+            placed = []
+            out = below
+            while True:
+                before = (list(masks[0]), list(masks[1]))
+                got = _place(v, out, below & ~out, g.adj, *masks)
+                assert masks == before, (g.adj, v, out)
+                expected, outcome = copy_first_place(v, out, below & ~out, g.adj, *masks)
+                assert got == expected, (g.adj, v, out)
+                seen[outcome] += 1
+                if got is not None:
+                    assert got[0] is not masks[0] and got[1] is not masks[1]
+                    placed.append(got)
+                if not out:
+                    break
+                out = (out - 1) & below
+            if not placed:
+                break
+            masks = rng.choice(placed)
+    assert min(seen[k] for k in ("placed", "cycle", "interval")) > 100, seen
+
+
+@pytest.mark.parametrize(
+    "name, g, answer, steps",
+    [
+        ("W5", wheel(5), False, 102),
+        ("W7", wheel(7), False, 290),
+        ("W9", wheel(9), False, 782),
+        ("Petersen", petersen(), True, 12),
+        ("Pr6", prism(6), True, 14),
+        ("5-crown", crown(5), True, 21),
+    ],
+)
+def test_oracle_search_tree_is_pinned(monkeypatch, name, g, answer, steps):
+    # the placement order, choices and cuts fix how many steps the oracle
+    # takes before it answers; a faster step must take the same ones
+    calls = []
+    step = orientations._place
+    monkeypatch.setattr(orientations, "_place", lambda *args: calls.append(1) or step(*args))
+    assert exists_semi_transitive_orientation(g, max_edges=g.m) is answer
+    assert len(calls) == steps, name
 
 
 def test_oracle_refuses_past_edge_cap():
