@@ -6,7 +6,7 @@ import random
 from functools import lru_cache
 from pathlib import Path
 
-from wordrep import Graph, make_graph, substitute
+from wordrep import Graph, alternation_graph, is_connected, make_graph, substitute
 
 
 def cycle(n: int) -> Graph:
@@ -65,6 +65,20 @@ def petersen() -> Graph:
     i + 2), and the spokes i, 5 + i."""
     edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
     return make_graph(10, edges + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def word_graph(n: int, seed: int) -> Graph:
+    """The graph of a seeded random 2-uniform word on the letters 0..n-1:
+    ``list(range(n)) * 2`` shuffled with ``random.Random(seed)``, and
+    shuffled again until its graph is connected. These graphs are exactly
+    the connected ones with R <= 2."""
+    rng = random.Random(seed)
+    word = list(range(n)) * 2
+    while True:
+        rng.shuffle(word)
+        g, _ = alternation_graph(word)
+        if is_connected(g):
+            return g
 
 
 def two_dimensional_order(seed: int, n: int) -> Graph:

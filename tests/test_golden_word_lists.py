@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from wordrep import exists_word, make_graph, rep_number, representing_words, word_to_text
-from helpers import atlas_connected
+from helpers import atlas_connected, cycle, petersen, prism, word_graph
 
 GOLDEN = Path(__file__).parent / "golden_word_lists.json"
 
@@ -66,6 +66,55 @@ def test_certificate_of_the_n10_prime_graph_is_pinned():
     assert (word_to_text(rep.word), rep.k, rep.mode) == (N10_WORD, 3, "general")
     # a few seconds with the cut; a weakened cut stays exact but takes minutes
     assert elapsed < 60
+
+
+# the first words of searches that run for seconds without a cut that
+# orders the next copies: (graph, its certificate, R)
+FIRST_WORDS = {
+    "c11": (lambda: cycle(11), "0 1 10 0 9 10 8 9 7 8 6 7 5 6 4 5 3 4 2 3 1 2", 2),
+    "petersen": (
+        petersen,
+        "0 1 2 4 5 0 7 8 5 3 6 8 9 4 1 0 6 2 1 3 7 2 5 8 9 6 7 4 9 3",
+        3,
+    ),
+    "pr6": (
+        lambda: prism(6),
+        "0 1 2 3 5 4 6 0 7 8 9 11 5 6 10 11 1 0 2 7 1 3 6 8 7 2 4 9 8 3 10 9 5 4 11 10",
+        3,
+    ),
+    "word-graph-12-seed-4": (
+        lambda: word_graph(12, 4),
+        "0 3 4 2 5 0 6 8 6 7 9 1 10 5 4 1 11 2 8 10 11 7 9 3",
+        2,
+    ),
+    "word-graph-12-seed-8": (
+        lambda: word_graph(12, 8),
+        "0 3 1 2 10 5 4 6 9 5 7 11 0 6 4 1 2 8 11 9 8 3 7 10",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_WORDS))
+def test_first_word_of_a_long_search_is_pinned(name):
+    build, word, r = FIRST_WORDS[name]
+    rep = rep_number(build())
+    assert (word_to_text(rep.word), rep.k, rep.mode) == (word, r, "general")
+
+
+@pytest.mark.parametrize(
+    "n, words, sha256",
+    [
+        (7, 28, "8e2b4a77031d14cbc79cb43a1983038a6c073f4dc3a09b3bce7a3e2a3b809ff4"),
+        (8, 32, "92d5020fda4af4f0c95ac1c201700fb5bd9fabd9cd28a312bbefd311ea57ddb2"),
+        (9, 36, "fa5ed1cc18bd62accc2b10c13bd9092d93c91cdf3dc2b17e30492dabbf56a9cd"),
+    ],
+    ids=["c7", "c8", "c9"],
+)
+def test_cycle_word_list_is_pinned(n, words, sha256):
+    # every 2-uniform word of C7, C8 and C9, past the 5 vertices of the file
+    text = "\n".join(word_to_text(w) for w in representing_words(cycle(n), 2))
+    assert (text.count("\n") + 1, hashlib.sha256(text.encode()).hexdigest()) == (words, sha256)
 
 
 def test_decider_refutes_level_two_of_the_n10_prime_graph():
