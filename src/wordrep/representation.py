@@ -50,7 +50,10 @@ completion. Three cuts keep it exact:
   later, otherwise the word would create an edge that is not in the graph;
 * when a letter c first appears, orient every edge among the letters seen
   so far from the one that appeared first; if that orientation has a
-  shortcut, the prefix cannot be finished.
+  shortcut, the prefix cannot be finished;
+* the next copies of the letters with copies left, the unspent letters, must
+  come in an order that some pairs force; if those pairs force a cycle,
+  the prefix cannot be finished (the must-come-first cut below).
 
 Two checks follow from these cuts and are not made. Counts stay balanced:
 by the first cut every prefix alternates on every edge and ends with the
@@ -60,7 +63,7 @@ first letter of such a pair runs out, the second cut has left either a
 collision already or two copies of the other letter, with none of the
 first between them.
 
-The last cut rests on a lemma (Halldórsson, Kitaev & Pyatkin, *Discrete
+The third cut rests on a lemma (Halldórsson, Kitaev & Pyatkin, *Discrete
 Appl. Math.* 201, 2016; Kitaev & Lozin, *Words and Graphs*, 2015, ch. 4):
 ordering the first occurrences of a k-uniform word that represents G
 orients G semi-transitively. Proof: it is acyclic, since it follows one
@@ -82,7 +85,36 @@ backtracks past it; each arc u -> c then gets the interval check of
 ancestor mask, where ``_place`` copies both mask lists and updates the
 descendants of every ancestor.
 
-All three cuts reject only unfinishable prefixes, so the search remains
+The must-come-first cut: in a completion, each unspent letter has a next
+copy, and two pairs fix which of two next copies comes first.
+
+* (a) x and y are adjacent, x is unspent, and x occurred after y's last
+  occurrence (bit y of ``pending[x]``, also when y has not occurred). The
+  two alternate to the end, so y, unspent too, comes before x's next copy.
+* (b) x and y are non-adjacent, have not collided, each has one copy left,
+  and x occurred last. Then the prefix restricted to them is y x ... y x,
+  k - 1 copies each, and y x to finish would make them alternate; so x's
+  next copy comes first.
+
+Next copies take distinct positions, so a cycle of these arcs has no
+completion. An append of c changes only pairs that hold c, and c then
+occurred last against every letter: by (a) each unspent neighbour of c gets
+an arc into c and c gets none out, and by (b) c gets arcs out only, and
+only if it has one copy left. Every shorter prefix was checked when it was
+made, so a cycle passes through c: the search walks from c only when c has
+one copy left, over the unspent letters, and drops the append if the walk
+reaches an unspent neighbour of c. The walk reads the masks before the
+append; they differ from those after it only at c, which it never reaches,
+since it stops at a neighbour of c before it steps from one. From x it
+steps by (a) to the unspent letters of ``adj[x] & seen & ~pending[x]``, the
+neighbours y that occurred after x's last occurrence: for a seen x, those
+whose bit in ``pending[x]`` is clear (the ``flipped`` identity below), and
+for an unseen x, whose ``pending[x]`` is 0, every seen neighbour. If x has
+one copy left, it also steps by (b) to
+``nonadj[x] & ~violated[x] & ones & pending[x]``, where ``ones`` is
+``scarce & ~spent``.
+
+All four cuts reject only unfinishable prefixes, so the search remains
 exhaustive; the test suite checks it against an unpruned enumeration on
 small graphs. One more cut uses symmetry: if no word starts with letter 0,
 the search stops there instead of trying the other first letters. That is
@@ -98,7 +130,7 @@ length of a word is bounded by memory and not by Python's recursion limit
 pushes (c, flipped, pending[c] before the append, newly, first); a pop
 undoes that append and the loop goes on with candidate c + 1. Letters are
 tried in the order a recursive search tries them, so the words come out in
-the same lexicographic order. Two masks replace scans over the letters:
+the same lexicographic order. Three masks replace scans over the letters:
 
 * ``flipped``, the letters d whose ``pending[d]`` holds bit c, is
   ``seen & ~pending[c] & ~(1 << c)``. Bit c of ``pending[d]`` is set iff d
@@ -115,6 +147,9 @@ the same lexicographic order. Two masks replace scans over the letters:
   copy, and the pop clears it when it gives back the second. So ``scarce``
   is {d : remaining[d] < 2} at every step, and the collide cut asks
   ``alive & scarce`` for "some alive letter has fewer than two copies".
+  ``spent``, the letters with no copies left, is kept the same way: the
+  append that leaves none sets bit c, and the pop that gives one back
+  clears it.
 
 ``prn`` goes through the induced poset: a smallest realizer by linear
 extensions, concatenated, is a minimal permutation representation. Every
@@ -232,6 +267,7 @@ def _letter_search(adj: tuple[int, ...], k: int) -> Iterator[Word]:
     nonadj = [full & ~adj[c] & ~(1 << c) for c in range(n)]
     remaining = [k] * n
     scarce = full if k < 2 else 0  # letters with fewer than two copies left
+    spent = 0  # letters with no copies left
     pending = [0] * n  # bit d of pending[c]: pair (c,d) last saw c
     violated = [0] * n  # symmetric: non-adjacent pairs that already collided
     seen = 0  # letters that occur in the prefix
@@ -255,6 +291,22 @@ def _letter_search(adj: tuple[int, ...], k: int) -> Iterator[Word]:
                 c += 1
                 continue
             bit = 1 << c
+            if rc == 1:  # must-come-first cut: no path from c to an unspent neighbour
+                ones = scarce & ~spent
+                hit = adj[c] & ~spent
+                reach = todo = nonadj[c] & ~violated[c] & ~dead & ones
+                while todo and not reach & hit:
+                    low = todo & -todo
+                    x = low.bit_length() - 1
+                    more = adj[x] & seen & ~pending[x] & ~spent
+                    if low & ones:
+                        more |= nonadj[x] & ~violated[x] & ones & pending[x]
+                    more &= ~reach
+                    reach |= more
+                    todo = todo ^ low | more
+                if reach & hit:
+                    c += 1
+                    continue
             first = not seen & bit
             if first and not _sink_keeps_semi_transitive(adj, anc, seen, c):
                 c += 1
@@ -265,6 +317,8 @@ def _letter_search(adj: tuple[int, ...], k: int) -> Iterator[Word]:
             remaining[c] = rc
             if rc == 1:
                 scarce |= bit
+            elif not rc:
+                spent |= bit
             rest = flipped
             while rest:
                 low = rest & -rest
@@ -303,6 +357,8 @@ def _letter_search(adj: tuple[int, ...], k: int) -> Iterator[Word]:
         remaining[c] += 1
         if remaining[c] == 2:
             scarce ^= bit
+        elif remaining[c] == 1:
+            spent ^= bit
         if first:
             seen ^= bit
         c += 1

@@ -12,6 +12,7 @@ from wordrep import (
     Representation,
     Status,
     Verdict,
+    alternation_graph,
     classify,
     exists_semi_transitive_orientation,
     exists_word,
@@ -30,7 +31,7 @@ from wordrep import (
 )
 from wordrep.modular import induced_block_graphs, lex_product
 from wordrep.representation import closed_form_prn, prn_of_orientation
-from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, independent_blow_up, path_graph, petersen, prism, random_connected_graph, star, two_dimensional_order, wheel
+from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, independent_blow_up, path_graph, petersen, prism, random_connected_graph, star, two_dimensional_order, wheel, word_graph
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
 
@@ -613,6 +614,8 @@ NAMED_FAMILIES = {
     "c5": (cycle(5), WR, 2, None, None),
     "c7": (cycle(7), WR, 2, None, None),
     "c9": (cycle(9), WR, 2, None, None),
+    "c11": (cycle(11), WR, 2, None, None),
+    "c13": (cycle(13), WR, 2, None, None),
     "c6": (cycle(6), COMP, 2, 3, None),
     "c8": (cycle(8), COMP, 2, 3, None),
     # an odd wheel's rim is a module that is no comparability graph
@@ -625,6 +628,12 @@ NAMED_FAMILIES = {
     "pr3": (prism(3), WR, 3, None, None),
     "pr4": (prism(4), COMP, 3, 4, None),
     "pr5": (prism(5), WR, 3, None, None),
+    # even prisms are bipartite, so comparability graphs
+    "pr6": (prism(6), COMP, 3, 3, None),
+    "pr7": (prism(7), WR, 3, None, None),
+    "pr8": (prism(8), COMP, 3, 3, None),
+    # the Petersen graph has R = 3 (Kitaev & Lozin 2015)
+    "petersen": (petersen(), WR, 3, None, None),
     # the composition formula R = max(R(quotient), block prns) past brute force
     "c5-with-4-crown-for-vertex-0": (substitute(cycle(5), 0, crown(4))[0], WR, 4, None, None),
     "c5-with-pr3-for-vertex-0": (
@@ -649,12 +658,43 @@ def test_named_families(name):
 def test_named_families_at_the_oracle_and_the_decider(g):
     # R = 3 (Kitaev & Pyatkin 2008 for prisms, Kitaev & Lozin 2015 for the
     # Petersen graph). The oracle and the decider settle these in
-    # milliseconds, while classify spends seconds to minutes in the letter
-    # search for the certificate, so they are not in NAMED_FAMILIES yet
+    # milliseconds; classify, whose letter search for the certificate takes
+    # up to about a second, pins them in NAMED_FAMILIES
     assert g.m == 3 * g.n // 2
     assert exists_semi_transitive_orientation(g)
     assert not exists_word(g, 2)
     assert exists_word(g, 3)
+
+
+# graphs on which the letter search for the certificate used to run for
+# seconds to many minutes: named families, and graphs of 2-uniform words
+# (R <= 2), the 12-vertex one on which classify once ran past a minute and
+# seeded random ones (helpers.word_graph)
+DECIDED_WITHIN_SECONDS = {
+    **{
+        name: (NAMED_FAMILIES[name][0], NAMED_FAMILIES[name][2])
+        for name in ("c13", "petersen", "pr7", "pr8")
+    },
+    "word-12": (
+        alternation_graph(
+            [int(c) for c in "7 10 2 1 3 11 3 8 2 4 10 1 9 11 8 0 9 6 5 6 0 7 4 5".split()]
+        )[0],
+        2,
+    ),
+    **{f"n{n}-seed{seed}": (word_graph(n, seed), 2) for n in (12, 14) for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", DECIDED_WITHIN_SECONDS)
+def test_classify_decides_within_seconds(name):
+    # about a second at most with the must-come-first cut; a weakened cut
+    # stays exact but takes from seconds to minutes
+    g, r = DECIDED_WITHIN_SECONDS[name]
+    started = time.perf_counter()
+    verdict = classify(g)
+    assert time.perf_counter() - started < 10
+    assert is_wr_status(verdict.status) and verdict.r_number == r
+    assert verify(verdict, g)
 
 
 @st.composite
