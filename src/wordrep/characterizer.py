@@ -111,21 +111,33 @@ def _block_prn_searches(
 
     Blocks are oriented lazily, in block order, so a caller that stops at
     the first failure orients nothing past it. A complete or edgeless block
-    is a comparability graph and is not oriented: its search is ``prn``,
-    which gives it the closed form within the cap. A single vertex's search
+    is a comparability graph and is not oriented: it is recognised on the
+    block's mask, its K_s or edgeless graph is built directly, with no
+    ``induced_subgraph`` relabelling, and its search is ``prn``, which
+    gives it the closed form within the cap. A single vertex's search
     returns the one K1 certificate, ``_POINT``, at every cap (caps are at
     least 1).
     """
+    adj = partition.base.adj
     for block in partition.blocks:
-        if len(block) == 1:
+        s = len(block)
+        if s == 1:
             yield block, lambda cap: _POINT
             continue
-        bg, _ = induced_subgraph(partition.base, block)
-        if bg.m == 0 or _is_complete(bg):
-            yield block, partial(prn, bg)
-            continue
-        o = find_transitive_orientation(bg)
-        yield block, None if o is None else partial(prn_of_orientation, o)
+        mask = 0
+        for v in block:
+            mask |= 1 << v
+        ends = 0  # twice the number of edges inside the block
+        for v in block:
+            ends += (adj[v] & mask).bit_count()
+        if not ends:
+            yield block, partial(prn, Graph(s, (0,) * s))
+        elif ends == s * (s - 1):
+            full = (1 << s) - 1
+            yield block, partial(prn, Graph(s, tuple(full ^ 1 << i for i in range(s))))
+        else:
+            o = find_transitive_orientation(induced_subgraph(partition.base, block)[0])
+            yield block, None if o is None else partial(prn_of_orientation, o)
 
 
 def _first_failing_block(partition: ModularPartition) -> frozenset[int] | None:

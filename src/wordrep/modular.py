@@ -125,7 +125,9 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     M(v); when y is in M(v) the closure stays there too, and when y is not
     the closure is the whole vertex set, so it may stop at the first vertex
     it absorbs that is known to lie outside M(v): an earlier block's vertex
-    or an earlier such y. Every y ends up in the block or outside it, so
+    or an earlier such y. Its first step absorbs the vertices that tell v
+    and y apart, so when one of them is known to lie outside, y is outside
+    and no closure runs. Every y ends up in the block or outside it, so
     the block is M(v) exactly, and at most one closure per block runs to
     the whole vertex set. Prime graphs and complete graphs come out as
     all-singleton partitions whose quotient is the graph itself.
@@ -135,6 +137,7 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     if not is_connected(g):
         raise ValueError("the graph is not connected")
     full = (1 << g.n) - 1
+    adj = g.adj
     blocks = connected_components(complement(g))
     if len(blocks) < 2:
         blocks = []
@@ -146,6 +149,10 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
             outside = covered
             for y in range(v + 1, g.n):
                 if not (outside | block) >> y & 1:
+                    if (adj[v] ^ adj[y]) & outside:
+                        # the closure's first step absorbs a vertex outside
+                        outside |= 1 << y
+                        continue
                     closure = _grow_module(g, v, block, y, outside)
                     if closure in (0, full):
                         outside |= 1 << y

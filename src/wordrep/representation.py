@@ -175,7 +175,7 @@ from .orientations import (
     placement_order,
     poset_of,
 )
-from .words import Word, concat_permutations, represents, uniformity
+from .words import Word, check_representation, concat_permutations, represents, uniformity
 
 GENERAL = "general"
 PERMUTATIONAL = "permutational"
@@ -196,12 +196,12 @@ class Representation:
     def __post_init__(self) -> None:
         if self.mode not in (GENERAL, PERMUTATIONAL):
             raise ValueError(f"unknown representation mode {self.mode!r}")
-        if not represents(self.word, self.target):
+        represented, k = check_representation(self.word, self.target)
+        if not represented:
             raise ValueError("word does not represent the target graph")
-        profile = uniformity(self.word)
-        if profile.uniform_k is None:
-            raise ValueError(f"word is not uniform (profile {profile.counts})")
-        object.__setattr__(self, "k", profile.uniform_k)
+        if k is None:
+            raise ValueError(f"word is not uniform (profile {uniformity(self.word).counts})")
+        object.__setattr__(self, "k", k)
         if self.mode == PERMUTATIONAL:
             for p in self.permutations():
                 if len(set(p)) != self.target.n:

@@ -44,9 +44,10 @@ def alternate(word: Sequence[int], x: int, y: int) -> bool:
     return all(a != b for a, b in zip(proj, proj[1:]))
 
 
-def _alternation_masks(word: Sequence[int], n: int) -> tuple[int, ...]:
+def _alternation_masks(word: Sequence[int], n: int) -> tuple[tuple[int, ...], int | None]:
     """Neighbor bitmasks, as in ``Graph.adj``, of the graph a word over
-    letters 0..n-1 defines.
+    letters 0..n-1 defines, and the common count of the letters, or None
+    when two counts differ (or n is 0).
 
     Two letters fail to alternate iff one of them occurs twice with no
     occurrence of the other in between. So x and y alternate iff every gap
@@ -61,7 +62,7 @@ def _alternation_masks(word: Sequence[int], n: int) -> tuple[int, ...]:
     projection is x y x ... y x with one more y at an end. Hence the
     odd-gap masks are symmetric on letters of equal count, and only pairs
     of unequal counts are checked bit by bit: a uniform word, as every
-    certificate is, costs O(n) mask operations.
+    certificate is, costs O(n) mask operations and runs no per-letter loop.
     """
     full = (1 << n) - 1
     parity = 0
@@ -77,12 +78,15 @@ def _alternation_masks(word: Sequence[int], n: int) -> tuple[int, ...]:
     with_count: dict[int, int] = {}
     for u, c in enumerate(count):
         with_count[c] = with_count.get(c, 0) | 1 << u
-    same = [with_count[c] for c in count]
-    return tuple(
-        mask & same[u] & ~(1 << u)
-        | sum(1 << v for v in iter_bits(mask & ~same[u]) if odd_gaps[v] >> u & 1)
-        for u, mask in enumerate(odd_gaps)
-    )
+    masks = []
+    for u, mask in enumerate(odd_gaps):
+        same = with_count[count[u]]
+        row = mask & same & ~(1 << u)
+        other = mask & ~same
+        if other:
+            row |= sum(1 << v for v in iter_bits(other) if odd_gaps[v] >> u & 1)
+        masks.append(row)
+    return tuple(masks), next(iter(with_count)) if len(with_count) == 1 else None
 
 
 def alternation_graph(word: Sequence[int]) -> tuple[Graph, dict[int, int]]:
@@ -95,7 +99,7 @@ def alternation_graph(word: Sequence[int]) -> tuple[Graph, dict[int, int]]:
         raise ValueError("the empty word defines no graph")
     alphabet = sorted(set(word))
     relabel = {letter: i for i, letter in enumerate(alphabet)}
-    masks = _alternation_masks([relabel[c] for c in word], len(alphabet))
+    masks, _ = _alternation_masks([relabel[c] for c in word], len(alphabet))
     return Graph(len(alphabet), masks), relabel
 
 
@@ -104,12 +108,19 @@ def represents(word: Sequence[int], g: Graph) -> bool:
 
     The word's alphabet must equal the vertex set of ``g``.
     """
+    return check_representation(word, g)[0]
+
+
+def check_representation(word: Sequence[int], g: Graph) -> tuple[bool, int | None]:
+    """``represents(word, g)``, and the common count of the word's letters,
+    or None when two counts differ, both from one pass over the word."""
     alphabet = set(word)
     if alphabet != set(range(g.n)):
         raise ValueError(
             f"alphabet {sorted(alphabet)} does not match vertex set 0..{g.n - 1}"
         )
-    return _alternation_masks(word, g.n) == g.adj
+    masks, k = _alternation_masks(word, g.n)
+    return masks == g.adj, k
 
 
 def uniformity(word: Sequence[int]) -> UniformityProfile:

@@ -116,6 +116,38 @@ def _full_closure_semi_transitive(n: int, succ: list[int]) -> bool:
     return True
 
 
+def reference_transitive_masks(adj) -> tuple[list[int], list[int]] | None:
+    """The forcing pass with an arc set in the masks only when it is popped,
+    so it can be queued once for every popped arc that forces it before
+    then. Same edge order and rules as ``orientations._transitive_masks``;
+    (succ, pred) or None."""
+    n = len(adj)
+    succ = [0] * n
+    pred = [0] * n
+
+    def place(x: int, y: int) -> bool:
+        queue = [(x, y)]
+        while queue:
+            x, y = queue.pop()
+            if succ[x] >> y & 1:  # queued twice before it was placed
+                continue
+            if succ[y] & ~adj[x] or pred[x] & ~adj[y]:
+                return False
+            for w in iter_bits((adj[x] & ~adj[y] & ~(1 << y) | succ[y]) & ~succ[x]):
+                queue.append((x, w))
+            for w in iter_bits((adj[y] & ~adj[x] & ~(1 << x) | pred[x]) & ~pred[y]):
+                queue.append((w, y))
+            succ[x] |= 1 << y
+            pred[y] |= 1 << x
+        return True
+
+    for u in range(n):
+        for v in iter_bits(adj[u] >> (u + 1) << (u + 1)):
+            if not (succ[u] >> v & 1 or succ[v] >> u & 1 or place(u, v)):
+                return None
+    return succ, pred
+
+
 def copy_first_place(v: int, out: int, into: int, adj, desc: list[int], anc: list[int]):
     """The oracle's placement step written the plain way: copy the masks,
     add v to the copies, then check each interval on the copies. Returns

@@ -30,7 +30,7 @@ from wordrep import (
     verify,
 )
 from wordrep.modular import induced_block_graphs, lex_product
-from wordrep.representation import closed_form_prn, prn_of_orientation
+from wordrep.representation import closed_form_prn, prn, prn_of_orientation
 from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, independent_blow_up, path_graph, petersen, prism, random_connected_graph, star, two_dimensional_order, wheel, word_graph
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
@@ -411,6 +411,48 @@ def test_clique_and_edgeless_blocks_are_neither_oriented_nor_searched(monkeypatc
             assert closed_form_prn(h) == prn_of_orientation(find_transitive_orientation(h))
 
 
+def test_closed_form_blocks_are_built_without_induced_subgraph(monkeypatch):
+    # K_s and edgeless s-sets, s up to 60, substituted into seeded prime
+    # quotients under a seeded relabelling: their graphs come from the
+    # block mask, and only the other blocks are relabelled by induced_subgraph
+    import wordrep.characterizer as characterizer
+
+    real = characterizer.induced_subgraph
+    relabelled = []
+    monkeypatch.setattr(
+        characterizer,
+        "induced_subgraph",
+        lambda g, block: relabelled.append(frozenset(block)) or real(g, block),
+    )
+    rng = random.Random(5)
+    closed = 0
+    for _ in range(12):
+        while True:
+            q = random_connected_graph(rng, rng.randint(4, 7))
+            if all(len(b) == 1 for b in maximal_modular_partition(q).blocks):
+                break
+        g = q
+        for v in reversed(range(q.n)):
+            s = rng.choice([1, 2, 3, rng.randint(2, 60)])
+            piece = rng.choice([complete(s), empty(s), path_graph(4)])
+            g = substitute(g, v, piece)[0]
+        label = list(range(g.n))
+        rng.shuffle(label)
+        g = make_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+        relabelled.clear()
+        for block, search in characterizer._block_prn_searches(maximal_modular_partition(g)):
+            bg = real(g, block)[0]
+            if len(block) > 1 and (bg.m == 0 or bg.m == bg.n * (bg.n - 1) // 2):
+                assert block not in relabelled
+                assert search.func is prn and search.args[0] == bg
+                assert search(4) == closed_form_prn(bg)
+                closed += 1
+            elif len(block) > 1:
+                assert block in relabelled
+        assert len(relabelled) == len(set(relabelled))
+    assert closed > 20
+
+
 def test_classify_reduces_to_the_quotient_at_an_edgeless_block_over_the_cap(monkeypatch):
     # prn of the edgeless block is 2, over the word cap of 1: the closed
     # form says so with no orientation and no realizer, and the quotient is
@@ -695,6 +737,18 @@ def test_classify_decides_within_seconds(name):
     assert time.perf_counter() - started < 10
     assert is_wr_status(verdict.status) and verdict.r_number == r
     assert verify(verdict, g)
+
+
+def test_classify_decides_the_path_p1000_within_seconds():
+    # the realizer's k = 2 forcing pass on the incomparability graph
+    # (about 500,000 edges) queues each arc once: about 2 s on a 2-vCPU VM,
+    # where queueing an arc once per arc that forced it took about 50 s
+    g = path_graph(1000)
+    started = time.perf_counter()
+    verdict = classify(g)
+    assert verify(verdict, g)
+    assert time.perf_counter() - started < 10
+    assert (verdict.status, verdict.r_number, verdict.prn_number) == (Status.COMPARABILITY, 2, 2)
 
 
 @st.composite

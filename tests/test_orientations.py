@@ -34,6 +34,7 @@ from helpers import (
     petersen,
     prism,
     random_graph,
+    two_dimensional_order,
     wheel,
 )
 from oracles import (
@@ -44,6 +45,7 @@ from oracles import (
     copy_first_place,
     reference_realizer,
     reference_semi_transitive_search,
+    reference_transitive_masks,
 )
 
 
@@ -139,6 +141,32 @@ def test_transitive_orientation_is_the_lexicographically_first():
     for g in graphs:
         first = next((o for o in all_orientations(g) if is_transitive(o)), None)
         assert find_transitive_orientation(g) == first
+
+
+def test_forcing_pass_equals_the_per_arc_reference():
+    # setting an arc when it is queued, not when it is popped, keeps the
+    # closed set of every call and the conflicts it meets, so the masks, or
+    # None, are those of the pass that queued an arc once per forcing arc
+    def incomparability(g):
+        full = (1 << g.n) - 1
+        return [full & ~a & ~(1 << v) for v, a in enumerate(g.adj)]
+
+    rng = random.Random(11)
+    masks = [
+        random_graph(rng, n, p).adj
+        for n in range(1, 31)
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+        for _ in range(4)
+    ]
+    masks += [g.adj for g in atlas_connected(7)]
+    masks += [incomparability(two_dimensional_order(seed, n)) for seed in range(5) for n in (8, 20, 40)]
+    masks += [incomparability(path_graph(n)) for n in range(1, 81)]
+    found = 0
+    for adj in masks:
+        expected = reference_transitive_masks(adj)
+        assert orientations._transitive_masks(adj) == expected, adj
+        found += expected is not None
+    assert 0 < found < len(masks)
 
 
 def test_every_transitive_orientation_is_semi_transitive():
