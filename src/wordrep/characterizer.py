@@ -304,12 +304,13 @@ def verify(
     A word certificate, checked once when it was built, must target g, and
     a composed verdict's numbers must follow from its parts'; a
     non-word-representability witness is re-checked to be a nontrivial
-    module whose induced subgraph admits no transitive orientation (one
-    forcing pass, at any size); a reduced verdict must name g's quotient,
-    where g is connected, not complete, and has only comparability blocks:
-    classify decides the rest. Only the oracle replay of a refutation with
-    no witness searches, and past the edge cap it raises CapExceeded rather
-    than guessing.
+    module of a connected g whose induced subgraph admits no transitive
+    orientation (one forcing pass, at any size), as a component can be such
+    a module of a word-representable graph (C5 in 2C5); a reduced verdict
+    must name g's quotient, where g is connected, not complete, and has
+    only comparability blocks: classify decides the rest. Only the oracle
+    replay of a refutation with no witness searches, and past the edge cap
+    it raises CapExceeded rather than guessing.
     """
     if verdict.status in (Status.WORD_REPRESENTABLE, Status.COMPARABILITY):
         if not _numbers_compose(verdict):
@@ -323,7 +324,8 @@ def verify(
     if verdict.status == Status.NOT_WORD_REPRESENTABLE:
         if verdict.witness is not None:
             w = verdict.witness
-            return (2 <= len(w) < g.n and all(0 <= v < g.n for v in w) and is_module(g, w)
+            return (2 <= len(w) < g.n and all(0 <= v < g.n for v in w) and is_connected(g)
+                    and is_module(g, w)
                     and find_transitive_orientation(induced_subgraph(g, w)[0]) is None)
         if g.m > replay_edge_cap:
             raise CapExceeded(

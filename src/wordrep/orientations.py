@@ -9,7 +9,11 @@ no shortcut iff the vertices on the directed paths of each arc induce a
 transitive orientation (see ``_place``). The search for one places vertices
 one at a time and drops a branch as soon as the placed vertices carry a
 cycle or a shortcut; it is still exponential in the worst case and is
-guarded by an edge-count cap. It keeps reachability masks only, which grow
+guarded by an edge-count cap. Before it searches, it refutes any graph in
+which some vertex's neighbourhood is not a comparability graph, by one
+forcing pass per vertex of degree at least five (a cone over a
+non-comparability graph is not word-representable). The search keeps
+reachability masks only, which grow
 with each placed vertex: only the new vertex's row and column, the cycles
 through it and the intervals it joins are new, and each arc's direction is
 read off the graph's neighbour masks (``_place``). A step checks the masks
@@ -249,11 +253,36 @@ def exists_semi_transitive_orientation(
     independent of everything placed from it on; once every branch below
     that vertex has failed, no other choice above it can succeed, so the
     search stops there.
+
+    Before any search, a screen refutes the graph when some neighbourhood
+    N(v) induces no comparability graph (Kitaev & Pyatkin, *J. Autom. Lang.
+    Comb.* 2008), one forcing pass per vertex (see
+    ``_some_neighbourhood_is_not_comparability``). It runs after the edge
+    cap, so the cap raises where it did. Why it is exact:
+    - G[N[v]] is a cone over G[N(v)]: v is joined to all of it.
+    - Take a uniform word that represents G, and rotate it so that it starts
+      with v. Rotating a uniform word keeps the graph it represents, as
+      ``exists_word`` relies on too.
+    - Restrict the word to N[v]; it still represents G[N[v]]. Every
+      neighbour of v alternates with v, so it occurs once between two
+      consecutive copies of v and once after the last: the word reads
+      v P1 v P2 ... v Pk, each Pi a permutation of N(v). So P1 P2 ... Pk,
+      the word restricted to N(v), permutationally represents G[N(v)],
+      which is therefore a comparability graph (Kitaev & Seif, *Order*
+      2008).
+    - The degree filter drops no refutation: every graph on at most four
+      vertices is a comparability graph, so a vertex with fewer than five
+      neighbours never fires (and one with five fires iff they induce C5,
+      the only non-comparability graph on five vertices).
+    A screen that fires answers what the search would; one that does not
+    leaves the search below it unchanged.
     """
     if g.m > max_edges:
         raise CapExceeded(
             f"{g.m} edges exceed the orientation-enumeration cap {max_edges}"
         )
+    if _some_neighbourhood_is_not_comparability(g.adj):
+        return False
     steps = placement_order(g)
     out = [-1] * g.n  # per step: the placed neighbours v points to, -1 untried
     # per step: the descendant and ancestor masks of the vertices before it
@@ -278,6 +307,20 @@ def exists_semi_transitive_orientation(
             masks[i + 1] = placed
             i += 1
     return True
+
+
+def _some_neighbourhood_is_not_comparability(adj: Sequence[int]) -> bool:
+    """True iff some vertex with at least five neighbours has a neighbourhood
+    with no transitive orientation: one forcing pass of ``_transitive_masks``
+    on the neighbour masks cut down to N(v), with no relabelling, per vertex.
+    Smaller neighbourhoods are skipped, since every graph on at most four
+    vertices is a comparability graph."""
+    for nb in adj:
+        if nb.bit_count() >= 5 and _transitive_masks(
+            [a & nb if nb >> x & 1 else 0 for x, a in enumerate(adj)]
+        ) is None:
+            return True
+    return False
 
 
 def _transitive_masks(adj: list[int] | tuple[int, ...]) -> tuple[list[int], list[int]] | None:

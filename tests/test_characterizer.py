@@ -1,6 +1,8 @@
 import dataclasses
 import random
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,7 +33,7 @@ from wordrep import (
 )
 from wordrep.modular import induced_block_graphs, lex_product
 from wordrep.representation import closed_form_prn, prn, prn_of_orientation
-from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, independent_blow_up, path_graph, petersen, prism, random_connected_graph, star, two_dimensional_order, wheel, word_graph
+from helpers import atlas_connected, complete, cone, count_searches, crown, cycle, empty, graph6_graphs, independent_blow_up, path_graph, petersen, prism, random_connected_graph, star, two_dimensional_order, wheel, word_graph
 from oracles import brute_exists_semi_transitive, brute_has_transitive_orientation
 
 
@@ -255,6 +257,28 @@ def test_classify_r_equals_brute_force_for_decomposables():
             assert verdict.r_number == rep_number(g).k
 
 
+def test_classify_sweep_over_the_connected_8_vertex_graphs():
+    # every connected graph on 8 vertices: the distribution of verdicts and
+    # representation numbers, the 929 refutations of Kitaev (DLT 2017), the
+    # comparability split against a forcing pass of its own, and a replay
+    # of every verdict
+    tally = Counter()
+    for g in graph6_graphs(Path(__file__).resolve().parent / "atlas8.g6"):
+        verdict = classify(g)
+        assert verify(verdict, g)
+        comparability = find_transitive_orientation(g) is not None
+        assert (verdict.status == Status.COMPARABILITY) == comparability
+        tally[verdict.status, verdict.r_number] += 1
+    assert tally == {
+        (Status.COMPARABILITY, 1): 1,
+        (Status.COMPARABILITY, 2): 5_383,
+        (Status.COMPARABILITY, 3): 413,
+        (Status.WORD_REPRESENTABLE, 2): 2_952,
+        (Status.WORD_REPRESENTABLE, 3): 1_439,
+        (Status.NOT_WORD_REPRESENTABLE, None): 929,
+    }
+
+
 def test_verify_rejects_tampered_certificate():
     verdict = classify(wheel(6))
     broken = Verdict(
@@ -295,6 +319,14 @@ def test_verify_rejects_wrong_witness():
         Status.NOT_WORD_REPRESENTABLE, Caps(), witness=frozenset(range(6))
     )
     assert not verify(trivial, wheel(5))  # the whole vertex set proves nothing
+
+
+def test_verify_rejects_a_module_witness_on_a_disconnected_graph():
+    # one C5 of 2C5 is a module and not a comparability graph, but 2C5 is
+    # word-representable: the witness rule needs a connected graph
+    two_c5 = make_graph(10, list(cycle(5).edges) + [(u + 5, v + 5) for u, v in cycle(5).edges])
+    forged = Verdict(Status.NOT_WORD_REPRESENTABLE, Caps(), witness=frozenset(range(5)))
+    assert not verify(forged, two_c5)
 
 
 def test_verify_rejects_a_reduced_verdict_on_a_disconnected_graph():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordrep import make_graph
+from wordrep import make_graph, rep_number
 from wordrep.cli import main
 from wordrep.io import GraphFileError, format_graph_text, parse_graph_text
 from helpers import (
@@ -296,7 +296,11 @@ def test_product_numbers_error_on_non_representable(capsys):
         "--op", "lex", "--numbers",
     )
     assert code == 0
-    assert "numbers_error" in report
+    # K2 lex C5 holds a cone over C5, so it is not word-representable
+    assert report["numbers_error"] == (
+        "second factor admits no transitive orientation, so the product is not "
+        "word-representable"
+    )
     assert report["numbers"]["r"] is None
 
 
@@ -362,6 +366,32 @@ def test_product_claims_no_r_without_a_cone_over_the_second_factor(capsys, tmp_p
     report_path = write_report(tmp_path, json.dumps(report))
     vcode, vreport = report_of(capsys, "verify", out_path, report_path)
     assert vcode == 0 and vreport["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "g, op",
+    [
+        (complete(1), ("--op", "lex")),
+        (make_graph(2, []), ("--op", "lex")),
+        (K2_K1, ("--op", "substitute", "--at", "2")),
+    ],
+    ids=["k1-lex-c5", "2k1-lex-c5", "k2+k1-at-2-c5"],
+)
+def test_product_does_not_blame_a_non_comparability_factor_without_a_cone(capsys, tmp_path, g, op):
+    # C5, 2C5 and K2 + C5 are word-representable with R = 2: C5 is a
+    # component of each product, not the base of a cone, so its having no
+    # transitive orientation decides nothing
+    out_path = tmp_path / "product.graph"
+    code, report = report_of(
+        capsys,
+        "product", _graph_file(tmp_path, "g", g), FIXTURES / "c5.graph", *op,
+        "--numbers", "--out", out_path,
+    )
+    assert code == 0
+    assert report["numbers"] == {"r": None, "prn": None} and report["certificate"] is None
+    assert "not word-representable" not in report["numbers_error"]
+    assert "joined to all of it" in report["numbers_error"]
+    assert rep_number(parse_graph_text(out_path.read_text())).k == 2
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,15 @@ from wordrep import (
     poset_of,
 )
 from wordrep import orientations
-from wordrep.orientations import Orientation, Poset, _closure, _place, placement_order
+from wordrep.orientations import (
+    Orientation,
+    Poset,
+    _closure,
+    _place,
+    _some_neighbourhood_is_not_comparability,
+    _transitive_masks,
+    placement_order,
+)
 from helpers import (
     atlas_connected,
     complete,
@@ -279,6 +287,45 @@ def test_oracle_refutes_929_of_the_11117_connected_8_vertex_graphs():
     )
 
 
+def labelled_graphs(n: int):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for chosen in range(1 << len(pairs)):
+        yield make_graph(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
+
+
+def test_every_labelled_graph_on_at_most_4_vertices_is_a_comparability_graph():
+    # why the neighbourhood screen skips vertices of degree at most 4
+    for n in range(1, 5):
+        assert all(_transitive_masks(g.adj) is not None for g in labelled_graphs(n))
+
+
+def test_on_5_vertices_only_the_12_labellings_of_c5_are_not_comparability_graphs():
+    failed = [g for g in labelled_graphs(5) if _transitive_masks(g.adj) is None]
+    assert len(failed) == 12 == len(set(failed))
+    assert all(g.m == 5 and is_connected(g) and {a.bit_count() for a in g.adj} == {2} for g in failed)
+
+
+def screen_off_refutes(monkeypatch, graphs) -> bool:
+    # the search alone, with the neighbourhood screen patched out
+    with monkeypatch.context() as m:
+        m.setattr(orientations, "_some_neighbourhood_is_not_comparability", lambda adj: False)
+        return not any(exists_semi_transitive_orientation(g, max_edges=g.m) for g in graphs)
+
+
+def test_the_neighbourhood_screen_fires_on_20_of_the_26_atlas_refutations(monkeypatch):
+    graphs = atlas_connected(7, min_n=2)
+    screened = [g for g in graphs if _some_neighbourhood_is_not_comparability(g.adj)]
+    assert len(screened) == 20 and screen_off_refutes(monkeypatch, screened)
+
+
+def test_the_neighbourhood_screen_fires_on_681_of_the_929_8_vertex_refutations(monkeypatch):
+    # each graph it fires on is refuted by the search alone, so it fires on
+    # none of the 10,188 word-representable 8-vertex graphs
+    graphs = graph6_graphs(Path(__file__).resolve().parent / "atlas8.g6")
+    screened = [g for g in graphs if _some_neighbourhood_is_not_comparability(g.adj)]
+    assert len(screened) == 681 and screen_off_refutes(monkeypatch, screened)
+
+
 @st.composite
 def small_graphs(draw):
     # connected or not, at most 7 vertices and 12 edges; some start from a
@@ -464,11 +511,19 @@ def test_placement_step_leaves_its_inputs_alone():
     ],
 )
 def test_oracle_search_tree_is_pinned(monkeypatch, name, g, answer, steps):
-    # the placement order, choices and cuts fix how many steps the oracle
-    # takes before it answers; a faster step must take the same ones
+    # the placement order, choices and cuts fix how many steps the search
+    # takes before it answers; a faster step must take the same ones. The
+    # neighbourhood screen refutes the odd wheels before any step, as each
+    # hub sees an odd cycle, and checks no vertex of the others, whose
+    # maximum degree is at most 4; with the screen patched out, the search
+    # takes the pinned steps on all six
     calls = []
     step = orientations._place
     monkeypatch.setattr(orientations, "_place", lambda *args: calls.append(1) or step(*args))
+    assert exists_semi_transitive_orientation(g, max_edges=g.m) is answer
+    assert len(calls) == (steps if answer else 0), name
+    monkeypatch.setattr(orientations, "_some_neighbourhood_is_not_comparability", lambda adj: False)
+    calls.clear()
     assert exists_semi_transitive_orientation(g, max_edges=g.m) is answer
     assert len(calls) == steps, name
 
